@@ -15,7 +15,6 @@ conventions of this simulator, not reconstructions of any external system.
 from __future__ import annotations
 
 import math
-from enum import Enum
 
 import numpy as np
 
@@ -29,14 +28,6 @@ from .slicing import DemandVector
 _SAFETY = 1e-9
 
 ENUMERATION_BOUND = 12
-
-
-class PolicyTag(Enum):
-    GREEDY = "greedy"
-    MAX_TRANSACTION = "max_transaction"
-    AUCTION = "auction"
-    RANDOM = "random"
-    ORACLE = "oracle"
 
 
 def minimal_bandwidth(task, queue_ahead: float, frequency: float,
@@ -210,7 +201,7 @@ def brute_force_offload(tasks, vm_count: int, bandwidth: float,
 
 
 def brute_force_slicing(demand: DemandVector, catalog: ResourceCatalog):
-    """Cheapest feasible one-hot rental per region by full enumeration.
+    """Cheapest feasible rental per region by full enumeration.
 
     Regions are independent, so the global optimum is the sum of per-region
     optima.  Returns (total cost, SliceDecision)."""
@@ -241,4 +232,4 @@ def brute_force_slicing(demand: DemandVector, catalog: ResourceCatalog):
         total += cost
         bw_idx.append(b)
         vm_idx.append(v)
-    return total, SliceDecision.from_indices(catalog, bw_idx, vm_idx)
+    return total, SliceDecision(bw=tuple(bw_idx), vm=tuple(vm_idx))

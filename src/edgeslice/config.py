@@ -164,6 +164,8 @@ def build_config(document: dict) -> Config:
     }
     _require(len(task_spec["priorities"]) == len(task_spec["priority_probs"]),
              "fields 'tasks.priorities' and 'tasks.priority_probs' must align")
+    _require(all(p >= 0 for p in task_spec["priority_probs"]),
+             "field 'tasks.priority_probs' entries must be >= 0")
     _require(abs(sum(task_spec["priority_probs"]) - 1.0) < 1e-9,
              "field 'tasks.priority_probs' must sum to 1")
     _require(all(p > 0 for p in task_spec["priorities"]),

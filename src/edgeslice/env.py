@@ -11,7 +11,7 @@ float "currency unit".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,6 @@ class TaskSpec:
     compute_density: float  # cycles per bit
     priority: float         # revenue weight
     distance: float         # meters to the BS
-    arrival_slot: int = 0   # short-slot index of arrival
 
     def __post_init__(self):
         require_positive("data_size", self.data_size)
@@ -129,39 +128,10 @@ class ResourceCatalog:
 
 @dataclass(frozen=True)
 class SliceDecision:
-    """Per-region one-hot rental choices over the catalog options."""
+    """Per-region rental choices as option indices into the catalog."""
 
-    bw_choice: tuple  # per region, tuple of 0/1 ints, exactly one 1
-    vm_choice: tuple
-
-    def __post_init__(self):
-        for label, choices in (("bw_choice", self.bw_choice),
-                               ("vm_choice", self.vm_choice)):
-            for i, onehot in enumerate(choices):
-                if any(v not in (0, 1) for v in onehot):
-                    raise ConstraintViolation(
-                        f"{label}[{i}] entries must be 0 or 1, got {onehot}")
-                if sum(onehot) != 1:
-                    raise ConstraintViolation(
-                        f"{label}[{i}] must select exactly one option, got {onehot}")
-
-    @classmethod
-    def from_indices(cls, catalog: ResourceCatalog, bw_idx, vm_idx) -> "SliceDecision":
-        bw, vm = [], []
-        for i, reg in enumerate(catalog.regions):
-            b = [0] * len(reg.bandwidth_options)
-            v = [0] * len(reg.vm_options)
-            b[bw_idx[i]] = 1
-            v[vm_idx[i]] = 1
-            bw.append(tuple(b))
-            vm.append(tuple(v))
-        return cls(bw_choice=tuple(bw), vm_choice=tuple(vm))
-
-    def bw_index(self, region: int) -> int:
-        return self.bw_choice[region].index(1)
-
-    def vm_index(self, region: int) -> int:
-        return self.vm_choice[region].index(1)
+    bw: tuple  # per region, index into RegionCatalog.bandwidth_options
+    vm: tuple  # per region, index into RegionCatalog.vm_options
 
 
 @dataclass
@@ -304,22 +274,22 @@ def settle(timing: TimingBreakdown, econ: EconParams, priority: float) -> float:
 def rented_and_cost(catalog: ResourceCatalog, slices: SliceDecision):
     """Total rented bandwidth, VM count and rental cost across regions.
 
-    Raises ConstraintViolation unless every region picks exactly one option
-    of each kind (the SliceDecision constructor enforces this; shape
-    mismatches against the catalog are caught here).
+    Raises ConstraintViolation unless the decision picks one in-range option
+    of each kind for every region of the catalog.
     """
-    if (len(slices.bw_choice) != catalog.num_regions
-            or len(slices.vm_choice) != catalog.num_regions):
+    if len(slices.bw) != catalog.num_regions or len(slices.vm) != catalog.num_regions:
         raise ConstraintViolation("slice decision does not cover every region")
     total_bw = 0.0
     total_vms = 0
     total_cost = 0.0
     for i, reg in enumerate(catalog.regions):
-        if (len(slices.bw_choice[i]) != len(reg.bandwidth_options)
-                or len(slices.vm_choice[i]) != len(reg.vm_options)):
-            raise ConstraintViolation(f"slice vectors do not match catalog in region {i}")
-        bw_cap, bw_cost = reg.bandwidth_options[slices.bw_index(i)]
-        vm_cnt, vm_cost = reg.vm_options[slices.vm_index(i)]
+        if not (0 <= slices.bw[i] < len(reg.bandwidth_options)
+                and 0 <= slices.vm[i] < len(reg.vm_options)):
+            raise ConstraintViolation(
+                f"slice indices ({slices.bw[i]}, {slices.vm[i]}) outside the "
+                f"catalog options of region {i}")
+        bw_cap, bw_cost = reg.bandwidth_options[slices.bw[i]]
+        vm_cnt, vm_cost = reg.vm_options[slices.vm[i]]
         total_bw += bw_cap
         total_vms += vm_cnt
         total_cost += bw_cost + vm_cost
@@ -329,22 +299,20 @@ def rented_and_cost(catalog: ResourceCatalog, slices: SliceDecision):
 def rented_in_region(catalog: ResourceCatalog, slices: SliceDecision, region: int):
     """Rented (bandwidth, vm_count) of a single region under a decision."""
     reg = catalog.regions[region]
-    bw_cap, _ = reg.bandwidth_options[slices.bw_index(region)]
-    vm_cnt, _ = reg.vm_options[slices.vm_index(region)]
+    bw_cap, _ = reg.bandwidth_options[slices.bw[region]]
+    vm_cnt, _ = reg.vm_options[slices.vm[region]]
     return bw_cap, vm_cnt
 
 
 def step(state: RegionState, action: AllocationAction, econ: EconParams,
-         radio: RadioParams, rng: np.random.Generator | None = None,
-         frequency: float = 1e9, slot_duration: float = 1.0):
+         radio: RadioParams, frequency: float = 1e9, slot_duration: float = 1.0):
     """Advance one region by one short slot under an allocation action.
 
     Tasks are processed in arrival-list order; each sees the backlog of
     earlier same-slot arrivals on its VM.  Tasks that meet the deadline pay
     priority-weighted revenue and add their work to the VM queue; tasks that
     miss (or get zero bandwidth) pay nothing and are dropped.  Queues then
-    drain by one slot of service.  The transition is deterministic; ``rng``
-    is accepted for interface uniformity and never consulted.
+    drain by one slot of service.  The transition is deterministic.
 
     Returns (reward, next_state, settlement records).
     """

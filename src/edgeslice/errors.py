@@ -14,7 +14,7 @@ class ConfigError(EdgesliceError):
 
 
 class ConstraintViolation(EdgesliceError):
-    """A renting/allocation constraint (one-hot choice, budget, VM range) is broken."""
+    """A renting/allocation constraint (option index, budget, VM range) is broken."""
 
 
 class InfeasibleSliceError(EdgesliceError):

@@ -109,8 +109,11 @@ class MetricsReport:
 # ---------------------------------------------------------------------------
 
 def make_policy(tag: str, config: Config, rng: np.random.Generator,
-                agent_bundle=None):
-    """Bind a policy tag to a callable RegionState -> AllocationAction."""
+                agent_bundle=None, peer_bundle=None):
+    """Bind a policy tag to a callable RegionState -> AllocationAction.
+
+    With a peer bundle, ``sliceoff`` follows the hybrid policy: per state,
+    the agent whose twin critics value its own action higher."""
     freq = config.vm_frequency
     if tag == "greedy":
         return partial(baselines.greedy_policy, radio=config.radio,
@@ -137,11 +140,18 @@ def make_policy(tag: str, config: Config, rng: np.random.Generator,
     if tag == "sliceoff":
         if agent_bundle is None:
             raise ConfigError("policy 'sliceoff' needs a trained agent checkpoint")
+        if peer_bundle is not None and peer_bundle.n_max != agent_bundle.n_max:
+            raise ConfigError(
+                f"peer agent pads to n_max={peer_bundle.n_max}, "
+                f"the agent to n_max={agent_bundle.n_max}")
 
         def sliceoff_policy(region: RegionState):
             obs = agent_mod.encode_state(region, config.radio, config.econ,
                                          agent_bundle.n_max)
-            raw = agent_mod.act(agent_bundle, obs, explore=False)
+            if peer_bundle is None:
+                raw = agent_mod.act(agent_bundle, obs, explore=False)
+            else:
+                raw = agent_mod.hybrid_policy(agent_bundle, peer_bundle, obs)
             return agent_mod.decode_action(raw, region.bandwidth,
                                            region.vm_count, len(region.tasks))
         return sliceoff_policy
@@ -187,7 +197,7 @@ def make_predictor(model: ForecastModel | None, n_max: float | None = None):
 # ---------------------------------------------------------------------------
 
 def run(config: Config, policy_tag: str, seed: int, agent_bundle=None,
-        forecaster: ForecastModel | None = None) -> MetricsReport:
+        forecaster: ForecastModel | None = None, peer_bundle=None) -> MetricsReport:
     """Execute H long slots of slicing plus T short slots of allocation.
 
     Per long slot: adjust rentals from observed traffic, account rental
@@ -199,7 +209,8 @@ def run(config: Config, policy_tag: str, seed: int, agent_bundle=None,
     scenario = generate_scenario(config, seed)
     ss = np.random.SeedSequence([seed, 0x7a5])
     rng_round, rng_policy = (np.random.default_rng(s) for s in ss.spawn(2))
-    policy = make_policy(policy_tag, config, rng_policy, agent_bundle=agent_bundle)
+    policy = make_policy(policy_tag, config, rng_policy, agent_bundle=agent_bundle,
+                         peer_bundle=peer_bundle)
     predictor = make_predictor(forecaster, n_max=config.n_max)
     profile = task_profile(config)
     freq = config.vm_frequency
@@ -233,8 +244,6 @@ def run(config: Config, policy_tag: str, seed: int, agent_bundle=None,
             for i in range(config.regions):
                 state = states[i]
                 state.tasks = scenario.tasks[i][h - 1][t - 1]
-                if len(state.tasks) > config.n_max:
-                    state.tasks = state.tasks[:config.n_max]
                 action = policy(state).projected()
                 pending_before = sum(q.pending_work for q in state.queues)
                 if action.bw_fraction.sum() > 1.0 + 1e-9:
@@ -244,7 +253,7 @@ def run(config: Config, policy_tag: str, seed: int, agent_bundle=None,
                         np.any(action.vm_index[served_mask] < 0):
                     report_out.violations += 1
                 reward, next_state, recs = step(
-                    state, action, config.econ, config.radio, None,
+                    state, action, config.econ, config.radio,
                     frequency=freq, slot_duration=config.slot_duration)
                 revenue_h += reward
                 for rec in recs:
@@ -317,14 +326,20 @@ def compare(config: Config, policies, seeds, out_dir, agent_bundle=None,
             peer_bundle=None, forecaster=None) -> dict:
     """Run a policy x seed grid; write per-run reports plus comparison.csv
     (per-policy means of revenue / offloaded count / hit rate / utilization,
-    mirroring the four headline panels) and a combined summary.json."""
+    mirroring the four headline panels) and a combined summary.json.
+
+    ``peer_bundle`` switches ``sliceoff`` to the hybrid policy."""
+    if not policies or not seeds:
+        raise ConfigError("compare needs at least one policy and one seed")
     os.makedirs(out_dir, exist_ok=True)
     all_totals = []
     for tag in policies:
         for seed in seeds:
+            sliceoff = tag == "sliceoff"
             metrics = run(config, tag, seed,
-                          agent_bundle=agent_bundle if tag == "sliceoff" else None,
-                          forecaster=forecaster if tag == "sliceoff" else None)
+                          agent_bundle=agent_bundle if sliceoff else None,
+                          forecaster=forecaster if sliceoff else None,
+                          peer_bundle=peer_bundle if sliceoff else None)
             sub = os.path.join(out_dir, f"{tag}_seed{seed}")
             report(metrics, sub)
             all_totals.append(metrics.totals())
@@ -385,7 +400,7 @@ def train_forecaster(config: Config, seed: int, history_slots: int = 160):
     """Fit the traffic model on a long synthetic history; returns
     (model, per-epoch loss trace)."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xf0]))
-    counts = traffic_counts(config.raw["traffic"], config.regions,
+    counts = traffic_counts(config.traffic, config.regions,
                             history_slots, rng, n_max=config.n_max)
     series = TrafficSeries(counts,
                            history_window=config.forecaster.history_window,
@@ -450,8 +465,7 @@ def oracle_checks(config: Config, instances: int = 25, seed: int = 0) -> list:
                        baselines.auction_policy):
             action = policy(region, config.radio, config.econ, frequency=freq)
             reward, _, _ = step(region, action, config.econ, config.radio,
-                                None, frequency=freq,
-                                slot_duration=config.slot_duration)
+                                frequency=freq, slot_duration=config.slot_duration)
             if reward > best + 1e-6:
                 dominated = False
                 worst = (policy.__name__, reward, best)
@@ -479,9 +493,8 @@ def oracle_checks(config: Config, instances: int = 25, seed: int = 0) -> list:
             lp_bounded = False
             detail = f"LP {lp_cost} above enumeration {opt_cost}"
         decision = slicing.randomized_round(frac, demand, catalog, rng)
-        bw_cap = catalog.regions[0].bandwidth_options[decision.bw_index(0)][0]
-        vm_cap = (catalog.regions[0].vm_options[decision.vm_index(0)][0]
-                  * catalog.regions[0].vm_frequency)
+        bw_cap, vm_cnt = rented_in_region(catalog, decision, 0)
+        vm_cap = vm_cnt * catalog.regions[0].vm_frequency
         if bw_cap < demand.bw_demand[0] or vm_cap < demand.compute_demand[0]:
             rounded_feasible = False
             detail = "rounded decision under-provisions demand"

@@ -168,28 +168,3 @@ def soft_update(target: Network, online: Network, tau: float) -> None:
     for name, p in online.params.items():
         target.params[name] *= (1.0 - tau)
         target.params[name] += tau * p
-
-
-def gradient_check(net: Network, x: np.ndarray, loss_upstream, step: float = 1e-4):
-    """Max relative error between analytic and central-difference gradients.
-
-    loss_upstream(y) must return (scalar loss, dLoss/dy).  Used by tests as
-    the independent oracle for backward()."""
-    y, cache = net.forward(x, return_cache=True)
-    _, upstream = loss_upstream(y)
-    grads, _ = net.backward(cache, upstream)
-    worst = 0.0
-    for name, p in net.params.items():
-        flat = p.ravel()
-        for k in range(flat.size):
-            orig = flat[k]
-            flat[k] = orig + step
-            lp, _ = loss_upstream(net.forward(x))
-            flat[k] = orig - step
-            lm, _ = loss_upstream(net.forward(x))
-            flat[k] = orig
-            numeric = (lp - lm) / (2.0 * step)
-            analytic = grads[name].ravel()[k]
-            denom = max(abs(numeric), abs(analytic), 1e-8)
-            worst = max(worst, abs(numeric - analytic) / denom)
-    return worst

@@ -18,8 +18,7 @@ from .config import Config
 from .env import EconParams, RadioParams, RegionState, TaskSpec, VmQueueState, step
 
 
-def sample_tasks(task_spec: dict, n: int, rng: np.random.Generator,
-                 arrival_slot: int = 0) -> list:
+def sample_tasks(task_spec: dict, n: int, rng: np.random.Generator) -> list:
     """Draw n i.i.d. TaskSpec records from configured attribute ranges."""
     lo_d, hi_d = task_spec["data_size"]
     lo_e, hi_e = task_spec["compute_density"]
@@ -32,8 +31,7 @@ def sample_tasks(task_spec: dict, n: int, rng: np.random.Generator,
             data_size=float(rng.uniform(lo_d, hi_d)),
             compute_density=float(rng.uniform(lo_e, hi_e)),
             priority=float(priorities[rng.choice(len(priorities), p=probs)]),
-            distance=float(rng.uniform(lo_l, hi_l)),
-            arrival_slot=arrival_slot))
+            distance=float(rng.uniform(lo_l, hi_l))))
     return out
 
 
@@ -69,15 +67,14 @@ def generate_scenario(config: Config, seed: int) -> Scenario:
     sizes follow the traffic counts."""
     ss = np.random.SeedSequence([seed, 0x5ce])
     rng_counts, rng_tasks = (np.random.default_rng(s) for s in ss.spawn(2))
-    counts = traffic_counts(config.raw["traffic"], config.regions,
+    counts = traffic_counts(config.traffic, config.regions,
                             config.horizon, rng_counts, n_max=config.n_max)
     tasks = []
     for i in range(config.regions):
         per_region = []
         for h in range(config.horizon):
-            per_slot = [sample_tasks(config.tasks, int(counts[i, h]), rng_tasks,
-                                     arrival_slot=t)
-                        for t in range(config.short_slots)]
+            per_slot = [sample_tasks(config.tasks, int(counts[i, h]), rng_tasks)
+                        for _ in range(config.short_slots)]
             per_region.append(per_slot)
         tasks.append(per_region)
     return Scenario(counts=counts, tasks=tasks)
@@ -136,14 +133,11 @@ class OffloadEnv:
     """
 
     def __init__(self, family: InstanceFamily, n_max: int, seed: int,
-                 episode_slots: int = 1, slot_duration: float = 1.0,
-                 arrivals_per_slot: bool = True):
+                 episode_slots: int = 1, slot_duration: float = 1.0):
         self.family = family
         self.n_max = n_max
         self.episode_slots = episode_slots
         self.slot_duration = slot_duration
-        self.arrivals_per_slot = arrivals_per_slot
-        self._seed = seed
         self.rng = np.random.default_rng(np.random.SeedSequence([seed, 0x0ff]))
         self.state: RegionState | None = None
         self._slot = 0
@@ -161,8 +155,7 @@ class OffloadEnv:
         """Independent copy with its own stream (for evaluation rollouts)."""
         return OffloadEnv(self.family, self.n_max, seed,
                           episode_slots=self.episode_slots,
-                          slot_duration=self.slot_duration,
-                          arrivals_per_slot=self.arrivals_per_slot)
+                          slot_duration=self.slot_duration)
 
     def _truncate(self, tasks: list) -> list:
         return tasks[:self.n_max]
@@ -189,17 +182,15 @@ class OffloadEnv:
         action = agent_mod.decode_action(raw_action, self.state.bandwidth,
                                          self.state.vm_count, len(self.state.tasks))
         reward, next_state, _ = step(self.state, action, self.family.econ,
-                                     self.family.radio, None,
+                                     self.family.radio,
                                      frequency=self.family.frequency,
                                      slot_duration=self.slot_duration)
         self._slot += 1
         done = self._slot >= self.episode_slots
-        if self.arrivals_per_slot:
-            n = int(self.rng.integers(self.family.n_range[0],
-                                      self.family.n_range[1] + 1))
-            next_state.tasks = self._truncate(
-                sample_tasks(self.family.task_spec, n, self.rng,
-                             arrival_slot=self._slot))
+        n = int(self.rng.integers(self.family.n_range[0],
+                                  self.family.n_range[1] + 1))
+        next_state.tasks = self._truncate(
+            sample_tasks(self.family.task_spec, n, self.rng))
         self.state = next_state
         return reward, self.encode(), done
 

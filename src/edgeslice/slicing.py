@@ -2,7 +2,7 @@
 
 Pipeline: forecast user counts -> convert deadline requirements into linear
 bandwidth/compute demands -> solve the relaxed rental problem per region ->
-round the fractional choice vectors to feasible one-hot rentals.
+round the fractional choice vectors to one feasible option per region.
 
 Each region's relaxed problem has two constraints per resource kind (the
 choice weights form a simplex and the chosen capacity must cover demand), so
@@ -166,8 +166,8 @@ def _round_one(weights, options, capacities, demand, rng):
 
 def randomized_round(frac: FractionalSlice, demand: DemandVector,
                      catalog: ResourceCatalog, rng: np.random.Generator) -> SliceDecision:
-    """Draw one-hot rentals from the fractional weights, repairing any draw
-    that would under-provision its region."""
+    """Draw one option per region from the fractional weights, repairing any
+    draw that would under-provision its region."""
     bw_idx, vm_idx = [], []
     for i, reg in enumerate(catalog.regions):
         bw_caps = [cap for cap, _ in reg.bandwidth_options]
@@ -176,7 +176,7 @@ def randomized_round(frac: FractionalSlice, demand: DemandVector,
         vm_caps = [cnt * reg.vm_frequency for cnt, _ in reg.vm_options]
         vm_idx.append(_round_one(frac.vm_weights[i], reg.vm_options,
                                  vm_caps, float(demand.compute_demand[i]), rng))
-    return SliceDecision.from_indices(catalog, bw_idx, vm_idx)
+    return SliceDecision(bw=tuple(bw_idx), vm=tuple(vm_idx))
 
 
 def cheapest_slice(catalog: ResourceCatalog) -> SliceDecision:
@@ -187,7 +187,7 @@ def cheapest_slice(catalog: ResourceCatalog) -> SliceDecision:
     vm_idx = [min(range(len(reg.vm_options)),
                   key=lambda k: (reg.vm_options[k][1], k))
               for reg in catalog.regions]
-    return SliceDecision.from_indices(catalog, bw_idx, vm_idx)
+    return SliceDecision(bw=tuple(bw_idx), vm=tuple(vm_idx))
 
 
 def adjust_slices(history: TrafficSeries | None, catalog: ResourceCatalog,

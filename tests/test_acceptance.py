@@ -112,12 +112,12 @@ def test_oracle_equivalence_offloading(trained_instance_agents):
         for heuristic in (baselines.greedy_policy, baselines.max_transaction_policy,
                           baselines.auction_policy):
             action = heuristic(region, cfg.radio, cfg.econ, frequency=freq)
-            reward, _, _ = env_step(region, action, cfg.econ, cfg.radio, None,
+            reward, _, _ = env_step(region, action, cfg.econ, cfg.radio,
                                     frequency=freq)
             if reward > best + 1e-6:
                 dominance_failures += 1
         reward, _, _ = env_step(region, policy(region), cfg.econ, cfg.radio,
-                                None, frequency=freq)
+                                frequency=freq)
         ratio = reward / best if best > 0 else 1.0
         ratios.append(ratio)
         if ratio >= 0.85:

@@ -83,7 +83,7 @@ class TestGreedy:
         for _ in range(50):
             region = random_region(rng)
             action = greedy_policy(region, RADIO, ECON, FREQ)
-            reward, _, recs = step(region, action, ECON, RADIO, None, frequency=FREQ)
+            reward, _, recs = step(region, action, ECON, RADIO, frequency=FREQ)
             planned = sum(ECON.reward_per_task * region.tasks[j].priority
                           for j in served(action))
             assert reward == pytest.approx(planned)
@@ -188,7 +188,7 @@ class TestBruteForceOffload:
                                           region.bandwidth, RADIO, ECON, FREQ)
             for policy in (greedy_policy, max_transaction_policy, auction_policy):
                 action = policy(region, RADIO, ECON, FREQ)
-                reward, _, _ = step(region, action, ECON, RADIO, None, frequency=FREQ)
+                reward, _, _ = step(region, action, ECON, RADIO, frequency=FREQ)
                 assert reward <= best + 1e-6
 
     def test_assignment_achieves_reported_revenue(self):
@@ -212,7 +212,7 @@ class TestBruteForceSlicing:
         cost, decision = brute_force_slicing(
             DemandVector(np.array([0.0]), np.array([0.0])), self.catalog())
         assert cost == pytest.approx(3.0)
-        assert decision.bw_index(0) == 0 and decision.vm_index(0) == 0
+        assert decision.bw[0] == 0 and decision.vm[0] == 0
 
     def test_demand_above_all_capacity_infeasible(self):
         with pytest.raises(InfeasibleSliceError):

@@ -132,21 +132,21 @@ CATALOG_1 = ResourceCatalog(regions=(RegionCatalog(
 
 class TestRentedAndCost:
     def test_single_region_choice(self):
-        slices = SliceDecision.from_indices(CATALOG_1, [1], [0])
+        slices = SliceDecision(bw=(1,), vm=(0,))
         bw, vms, cost = rented_and_cost(CATALOG_1, slices)
         assert (bw, vms, cost) == (10e6, 2, 5.0)
 
-    def test_all_zero_choice_rejected(self):
+    def test_out_of_range_index_rejected(self):
         with pytest.raises(ConstraintViolation):
-            SliceDecision(bw_choice=((0, 0, 0),), vm_choice=((1, 0),))
+            rented_and_cost(CATALOG_1, SliceDecision(bw=(3,), vm=(0,)))
 
-    def test_multiple_choice_rejected(self):
+    def test_negative_index_rejected(self):
         with pytest.raises(ConstraintViolation):
-            SliceDecision(bw_choice=((1, 1, 0),), vm_choice=((1, 0),))
+            rented_and_cost(CATALOG_1, SliceDecision(bw=(0,), vm=(-1,)))
 
     def test_two_regions_hand_sum(self):
         catalog = ResourceCatalog(regions=CATALOG_1.regions * 2)
-        slices = SliceDecision.from_indices(catalog, [1, 1], [0, 0])
+        slices = SliceDecision(bw=(1, 1), vm=(0, 0))
         bw, vms, cost = rented_and_cost(catalog, slices)
         # Hand-summed over two identical regions.
         assert (bw, vms, cost) == (20e6, 4, 10.0)
@@ -167,7 +167,7 @@ class TestStep:
     def test_no_tasks_advances_clock(self):
         state = make_region([])
         reward, nxt, records = step(state, AllocationAction(np.array([]), np.array([], dtype=int)),
-                                    self.ECON, self.RADIO, None)
+                                    self.ECON, self.RADIO)
         assert reward == 0.0 and records == []
         assert nxt.short_slot == state.short_slot + 1
 
@@ -176,7 +176,7 @@ class TestStep:
         task = TaskSpec(data_size=5e5, compute_density=200, priority=2.0, distance=1.0)
         state = make_region([task], bandwidth=2e6)
         action = AllocationAction(np.array([0.5]), np.array([0]))
-        reward, nxt, records = step(state, action, self.ECON, self.RADIO, None,
+        reward, nxt, records = step(state, action, self.ECON, self.RADIO,
                                     frequency=1e9)
         assert reward == pytest.approx(20.0)
         assert records[0].t_up == pytest.approx(0.25)
@@ -186,7 +186,7 @@ class TestStep:
         tasks = [TaskSpec(1e5, 10, 1.0, 1.0), TaskSpec(1e5, 10, 1.0, 1.0)]
         state = make_region(tasks)
         action = AllocationAction(np.array([1.5, 0.5]), np.array([0, 1]))
-        _, _, records = step(state, action, self.ECON, self.RADIO, None)
+        _, _, records = step(state, action, self.ECON, self.RADIO)
         implied = sum(r.t_up for r in records)
         # After projection the fractions are 0.75/0.25 of bandwidth.
         rate0 = 0.75 * 5e6 * 2
@@ -199,13 +199,13 @@ class TestStep:
         state = make_region([TaskSpec(1e5, 10, 1.0, 1.0)])
         action = AllocationAction(np.array([0.5]), np.array([7]))
         with pytest.raises(ConstraintViolation):
-            step(state, action, self.ECON, self.RADIO, None)
+            step(state, action, self.ECON, self.RADIO)
 
     def test_served_work_joins_queue_and_drains(self):
         task = TaskSpec(data_size=1e5, compute_density=5000, priority=1.0, distance=1.0)
         state = make_region([task], bandwidth=5e6)
         action = AllocationAction(np.array([1.0]), np.array([0]))
-        _, nxt, _ = step(state, action, self.ECON, self.RADIO, None,
+        _, nxt, _ = step(state, action, self.ECON, self.RADIO,
                          frequency=1e9, slot_duration=0.2)
         # 5e8 cycles joined, 2e8 drained in 0.2 s.
         assert nxt.queues[0].pending_work == pytest.approx(3e8)
@@ -214,7 +214,7 @@ class TestStep:
         task = TaskSpec(data_size=1e7, compute_density=5000, priority=3.0, distance=1.0)
         state = make_region([task])
         action = AllocationAction(np.array([1.0]), np.array([0]))
-        reward, nxt, records = step(state, action, self.ECON, self.RADIO, None,
+        reward, nxt, records = step(state, action, self.ECON, self.RADIO,
                                     frequency=1e9, slot_duration=0.0)
         assert reward == 0.0
         assert records[0].revenue == 0.0
@@ -225,10 +225,8 @@ class TestStep:
         tasks = [TaskSpec(rng.uniform(1e5, 1e6), rng.uniform(10, 500), 1.0,
                           rng.uniform(10, 100)) for _ in range(5)]
         action = AllocationAction(rng.uniform(0, 0.3, 5), rng.integers(0, 2, 5))
-        out1 = step(make_region(list(tasks)), action, self.ECON, self.RADIO,
-                    np.random.default_rng(1))
-        out2 = step(make_region(list(tasks)), action, self.ECON, self.RADIO,
-                    np.random.default_rng(1))
+        out1 = step(make_region(list(tasks)), action, self.ECON, self.RADIO)
+        out2 = step(make_region(list(tasks)), action, self.ECON, self.RADIO)
         assert out1[0] == out2[0]
         assert all(q1.pending_work == q2.pending_work
                    for q1, q2 in zip(out1[1].queues, out2[1].queues))
@@ -252,7 +250,7 @@ class TestHorizonProfit:
         all_records = []
         revenue = 0.0
         for _ in range(2):
-            r, state, recs = step(state, action, econ, radio, None)
+            r, state, recs = step(state, action, econ, radio)
             state.tasks = [TaskSpec(2e5, 100, 2.0, 1.0), TaskSpec(2e5, 100, 1.0, 1.0)]
             revenue += r
             all_records.extend(recs)

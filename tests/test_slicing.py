@@ -111,8 +111,8 @@ class TestRandomizedRound:
         demand = DemandVector(np.array([2.0]), np.array([0.0]))
         decision = randomized_round(frac, demand, catalog,
                                     np.random.default_rng(0))
-        assert decision.bw_index(0) == 1
-        assert decision.vm_index(0) == 0
+        assert decision.bw[0] == 1
+        assert decision.vm[0] == 0
 
     def test_empirical_frequencies_match_weights(self):
         catalog = catalog_of([(5.0, 1.0), (10.0, 3.0)])
@@ -121,7 +121,7 @@ class TestRandomizedRound:
                                vm_weights=(np.array([1.0, 0.0]),))
         rng = np.random.default_rng(7)
         n = 10_000
-        picks = sum(randomized_round(frac, demand, catalog, rng).bw_index(0)
+        picks = sum(randomized_round(frac, demand, catalog, rng).bw[0]
                     for _ in range(n))
         p = 0.4
         sigma = (n * p * (1 - p)) ** 0.5
@@ -135,7 +135,7 @@ class TestRandomizedRound:
         decision = randomized_round(frac, demand, catalog,
                                     np.random.default_rng(0))
         # Sampled option 0 under-provisions; cheapest feasible is index 2.
-        assert decision.bw_index(0) == 2
+        assert decision.bw[0] == 2
 
     def test_rounded_decisions_always_cover_demand(self):
         rng = np.random.default_rng(11)
@@ -148,7 +148,7 @@ class TestRandomizedRound:
                                   np.array([0.0]))
             frac = solve_relaxed(demand, catalog)
             decision = randomized_round(frac, demand, catalog, rng)
-            cap = catalog.regions[0].bandwidth_options[decision.bw_index(0)][0]
+            cap = catalog.regions[0].bandwidth_options[decision.bw[0]][0]
             assert cap >= demand.bw_demand[0]
 
 
@@ -185,8 +185,8 @@ class TestAdjustSlices:
             decision = adjust_slices(series, catalog, self.persistence, rng,
                                      PROFILE, RADIO, ECON)
             for i in range(3):
-                assert sum(decision.bw_choice[i]) == 1
-                assert sum(decision.vm_choice[i]) == 1
+                assert 0 <= decision.bw[i] < len(catalog.regions[i].bandwidth_options)
+                assert 0 <= decision.vm[i] < len(catalog.regions[i].vm_options)
 
     def test_infeasibility_propagates(self):
         catalog = catalog_of([(1e3, 1.0)])
@@ -209,7 +209,7 @@ class TestExpectedRoundedCost:
         total = 0.0
         for _ in range(draws):
             decision = randomized_round(frac, demand, catalog, rng)
-            total += catalog.regions[0].bandwidth_options[decision.bw_index(0)][1]
+            total += catalog.regions[0].bandwidth_options[decision.bw[0]][1]
         mean_bw_cost = total / draws
         lp_bw_cost = 0.5 * 1.0 + 0.5 * 3.0
         assert abs(mean_bw_cost - lp_bw_cost) / lp_bw_cost < 0.10
