@@ -17,7 +17,7 @@ import numpy as np
 
 from . import checkpoint
 from .env import AllocationAction, EconParams, RadioParams, RegionState
-from .errors import DivergenceError
+from .errors import CheckpointError, DivergenceError
 from .nn import Network, soft_update
 
 # ---------------------------------------------------------------------------
@@ -155,6 +155,26 @@ _MARGIN_CAP = 6.0  # allocated-over-needed ratio is clipped here
 _SHARE_CAP = 2.0   # needed budget shares are clipped here
 
 
+@dataclass(eq=False)
+class _Features:
+    """One batch of observations featurised for a block configuration.
+
+    Built once per batch by `_TaskBlock._state_rows` and shared by every
+    actor and critic pass over it.  The critic's action-dependent rows are
+    memoised for the last ``actions`` array (by identity), so twin critics
+    scoring the same actions build them once."""
+
+    states: np.ndarray   # (K, state_dim) raw observations
+    rows: np.ndarray     # (K, n_max, _STATE_COLS) per-slot state features
+    mask: np.ndarray     # (K, n_max) validity
+    raw_bw: np.ndarray   # (K,) rented bandwidth
+    needed: np.ndarray   # (K, n_max) corrected upload-rate need
+    k: int
+    config: tuple        # (n_max, frequency, state_scale) it was built for
+    actions: np.ndarray | None = None
+    critic_rows: tuple | None = None
+
+
 class _TaskBlock:
     """Shared plumbing: split raw observations into per-slot feature rows.
 
@@ -194,8 +214,8 @@ class _TaskBlock:
         corrected = raw_rates / free
         return states, scaled, raw_bw, corrected
 
-    def _state_rows(self, states: np.ndarray):
-        """(K, n_max, _STATE_COLS) feature rows shared by actor and critic."""
+    def _state_rows(self, states: np.ndarray) -> _Features:
+        """Featurise raw observations into rows shared by actor and critic."""
         states, scaled, raw_bw, needed = self._parse(states)
         k, n = states.shape[0], self.n_max
         rows = np.empty((k, n, _STATE_COLS))
@@ -217,7 +237,20 @@ class _TaskBlock:
         rank = np.argsort(np.argsort(share + (1 - mask) * 99.0, axis=1,
                                      kind="stable"), axis=1, kind="stable")
         rows[:, :, 11] = rank / n                           # cheapness rank
-        return rows, mask
+        return _Features(states, rows, mask, raw_bw, needed, k,
+                         (n, self.frequency, self.state_scale))
+
+    def _features(self, states) -> _Features:
+        """``states`` as features for this block: a holder built for the same
+        n_max, frequency and scale is reused, anything else featurised."""
+        if not isinstance(states, _Features):
+            return self._state_rows(states)
+        n_max, frequency, scale = states.config
+        if (n_max == self.n_max and frequency == self.frequency
+                and (scale is self.state_scale
+                     or np.array_equal(scale, self.state_scale))):
+            return states
+        return self._state_rows(states.states)
 
 
 class TaskBlockActor(_TaskBlock):
@@ -227,11 +260,13 @@ class TaskBlockActor(_TaskBlock):
         return TaskBlockActor(self.net.copy(), self.n_max, self.state_scale,
                               self.frequency)
 
-    def forward(self, states: np.ndarray, return_cache: bool = False):
-        single = np.asarray(states).ndim == 1
-        rows, _ = self._state_rows(states)
-        k = rows.shape[0]
-        flat = rows.reshape(k * self.n_max, _STATE_COLS)
+    def forward(self, states, return_cache: bool = False):
+        """``states``: raw observations, (state_dim,) or (K, state_dim), or
+        a `_Features` holder of K rows."""
+        single = not isinstance(states, _Features) and np.asarray(states).ndim == 1
+        feats = self._features(states)
+        k = feats.k
+        flat = feats.rows.reshape(k * self.n_max, _STATE_COLS)
         out, cache = self.net.forward(flat, return_cache=True)
         pair = out.reshape(k, self.n_max, 2)
         actions = np.concatenate([pair[:, :, 0], pair[:, :, 1]], axis=1)
@@ -264,32 +299,36 @@ class TaskBlockCritic(_TaskBlock):
         return TaskBlockCritic(self.net.copy(), self.n_max, self.state_scale,
                               self.frequency)
 
-    def _rows(self, states, actions):
-        states_arr, _, raw_bw, corrected_need = self._parse(states)
-        actions = np.atleast_2d(np.asarray(actions, dtype=float))
-        k, n = states_arr.shape[0], self.n_max
-        state_rows, mask = self._state_rows(states)
-        fractions = actions[:, :n]
-        selectors = actions[:, n:]
+    def _rows(self, feats: _Features, actions):
+        if feats.actions is actions:
+            return feats.critic_rows
+        action_arr = np.atleast_2d(np.asarray(actions, dtype=float))
+        k, n = feats.k, self.n_max
+        raw_bw = feats.raw_bw
+        fractions = action_arr[:, :n]
+        selectors = action_arr[:, n:]
         total = fractions.sum(axis=1)
         denom = np.maximum(total, 1.0)
-        needed = np.maximum(corrected_need, 1e-9 * np.maximum(raw_bw, 1.0)[:, None])
+        needed = np.maximum(feats.needed, 1e-9 * np.maximum(raw_bw, 1.0)[:, None])
         ratio = np.maximum(raw_bw, 1e-9)[:, None] / needed
         margin_raw = fractions * ratio / denom[:, None]
         clipped = margin_raw > _MARGIN_CAP
         margin = np.where(clipped, _MARGIN_CAP, margin_raw)
         rows = np.empty((k, n, self.IN_COLS))
-        rows[:, :, :_STATE_COLS] = state_rows
+        rows[:, :, :_STATE_COLS] = feats.rows
         rows[:, :, _STATE_COLS + 0] = fractions
         rows[:, :, _STATE_COLS + 1] = selectors
         rows[:, :, _STATE_COLS + 2] = total[:, None]
         rows[:, :, _STATE_COLS + 3] = margin
-        aux = {"mask": mask, "fractions": fractions, "total": total,
+        aux = {"mask": feats.mask, "fractions": fractions, "total": total,
                "denom": denom, "ratio": ratio, "clipped": clipped, "k": k}
+        feats.actions, feats.critic_rows = actions, (rows, aux)
         return rows, aux
 
     def forward(self, states, actions, return_cache: bool = False):
-        rows, aux = self._rows(states, actions)
+        """``states``: raw observations or a `_Features` holder; ``actions``
+        must not be changed in place while a holder memoises it."""
+        rows, aux = self._rows(self._features(states), actions)
         k, n = aux["k"], self.n_max
         out, cache = self.net.forward(rows.reshape(k * n, self.IN_COLS),
                                       return_cache=True)
@@ -385,8 +424,12 @@ def act(agent: AgentBundle, state: np.ndarray, explore: bool,
 def td_target(agent: AgentBundle, batch, gamma: float, smooth_std: float,
               smooth_clip: float, rng: np.random.Generator) -> np.ndarray:
     """Backup values: reward plus the discounted minimum of the two target
-    critics at the smoothed target action."""
+    critics at the smoothed target action.
+
+    ``batch`` is (states, actions, rewards, next_states); either state half
+    may be raw observations or a `_Features` holder."""
     _, _, rewards, next_states = batch
+    next_states = agent.target_actor._features(next_states)
     a2 = agent.target_actor.forward(next_states)
     noise = np.clip(rng.normal(0.0, smooth_std, size=a2.shape),
                     -smooth_clip, smooth_clip)
@@ -400,7 +443,8 @@ def update_critics(agent: AgentBundle, batch, targets: np.ndarray,
                    lr: float) -> tuple:
     """One squared-error regression step per critic toward fixed targets."""
     states, actions, _, _ = batch
-    k = np.atleast_2d(states).shape[0]
+    states = agent.critic1._features(states)
+    k = states.k
     losses = []
     for critic in (agent.critic1, agent.critic2):
         pred, cache = critic.forward(states, actions, return_cache=True)
@@ -421,8 +465,8 @@ def update_actor(agent: AgentBundle, batch, actor_lr: float, tau: float) -> bool
     Returns whether the update was applied."""
     if agent.step_count % 2 != 0:
         return False
-    states = batch[0]
-    k = np.atleast_2d(states).shape[0]
+    states = agent.actor._features(batch[0])
+    k = states.k
     actions, actor_cache = agent.actor.forward(states, return_cache=True)
     _, critic_cache = agent.critic1.forward(states, actions, return_cache=True)
     # Ascent on mean Q == descent on -mean Q; only the action-side gradient
@@ -436,14 +480,18 @@ def update_actor(agent: AgentBundle, batch, actor_lr: float, tau: float) -> bool
     return True
 
 
-def value_estimate(agent: AgentBundle, states: np.ndarray) -> np.ndarray:
+def _twin_value(agent: AgentBundle, feats: _Features, actions) -> np.ndarray:
+    """Elementwise minimum of the two online critics at given actions."""
+    q1 = agent.critic1.forward(feats, actions)
+    q2 = agent.critic2.forward(feats, actions)
+    return np.minimum(q1, q2)
+
+
+def value_estimate(agent: AgentBundle, states) -> np.ndarray:
     """Twin-critic value of the agent's own deterministic action: the
     elementwise minimum of the two online critics."""
-    states = np.atleast_2d(np.asarray(states, dtype=float))
-    a = agent.actor.forward(states)
-    q1 = agent.critic1.forward(states, a)
-    q2 = agent.critic2.forward(states, a)
-    return np.minimum(q1, q2)
+    feats = agent.actor._features(states)
+    return _twin_value(agent, feats, agent.actor.forward(feats))
 
 
 def advantage(peer: AgentBundle, current: AgentBundle, state: np.ndarray):
@@ -451,9 +499,9 @@ def advantage(peer: AgentBundle, current: AgentBundle, state: np.ndarray):
 
     Each side is judged by its own twin critics at its own action."""
     state = np.asarray(state, dtype=float)
-    if state.ndim == 1:
-        return float(value_estimate(peer, state)[0] - value_estimate(current, state)[0])
-    return value_estimate(peer, state) - value_estimate(current, state)
+    feats = current.actor._features(state)
+    xi = value_estimate(peer, feats) - value_estimate(current, feats)
+    return float(xi[0]) if state.ndim == 1 else xi
 
 
 def distill_weight(alpha: float, xi) -> np.ndarray:
@@ -471,13 +519,15 @@ def distill(current: AgentBundle, peer: AgentBundle, batch,
     proportional to the confidence weight, so near-zero weights leave the
     parameters essentially untouched.  Weights far above 1 are normalized
     batch-wide, preserving their relative ordering."""
-    states = np.atleast_2d(np.asarray(batch[0], dtype=float))
-    k = states.shape[0]
-    xi = advantage(peer, current, states)
+    feats = current.actor._features(batch[0])
+    k = feats.k
+    # Each actor runs once: its action is both the one its twin critics
+    # value and, for the peer, the regression target.
+    target = peer.actor.forward(feats)
+    out, cache = current.actor.forward(feats, return_cache=True)
+    xi = _twin_value(peer, feats, target) - _twin_value(current, feats, out)
     w = distill_weight(current.distill_alpha, xi)
     w = w / max(1.0, float(w.mean()))
-    out, cache = current.actor.forward(states, return_cache=True)
-    target = peer.actor.forward(states)
     diff = out - target
     loss = float(0.5 * ((diff ** 2).sum(axis=1) * w).mean())
     if not math.isfinite(loss):
@@ -529,22 +579,29 @@ def save_agent(agent: AgentBundle, path) -> None:
 def load_agent(path) -> AgentBundle:
     arrays, meta = checkpoint.load_arrays(path)
     if meta.get("format") != "agent":
-        raise ValueError(f"{path}: not an agent checkpoint")
-    scale = arrays["state_scale"]
-    n_max = meta["n_max"]
-    wrappers = {}
-    for net_name in _NETS:
-        spec = meta["nets"][net_name]
-        params = {k.split(".", 1)[1]: v for k, v in arrays.items()
-                  if k.startswith(f"{net_name}.")}
-        net = Network(tuple(spec["dims"]), tuple(spec["activations"]), params)
-        wrapper_cls = TaskBlockActor if "actor" in net_name else TaskBlockCritic
-        wrappers[net_name] = wrapper_cls(net, n_max, scale,
-                                         meta.get("frequency", 1e9))
-    return AgentBundle(
-        state_scale=scale, n_max=n_max,
-        noise_scale=meta["noise_scale"], step_count=meta["step_count"],
-        distill_alpha=meta["distill_alpha"], **wrappers)
+        raise CheckpointError(f"{path}: not an agent checkpoint")
+    try:
+        scale = arrays["state_scale"]
+        n_max = meta["n_max"]
+        wrappers = {}
+        for net_name in _NETS:
+            spec = meta["nets"][net_name]
+            params = {k.split(".", 1)[1]: v for k, v in arrays.items()
+                      if k.startswith(f"{net_name}.")}
+            for i in range(len(spec["dims"]) - 1):
+                for kind in ("w", "b"):
+                    if f"{kind}{i}" not in params:
+                        raise KeyError(f"{net_name}.{kind}{i}")
+            net = Network(tuple(spec["dims"]), tuple(spec["activations"]), params)
+            wrapper_cls = TaskBlockActor if "actor" in net_name else TaskBlockCritic
+            wrappers[net_name] = wrapper_cls(net, n_max, scale,
+                                             meta.get("frequency", 1e9))
+        return AgentBundle(
+            state_scale=scale, n_max=n_max,
+            noise_scale=meta["noise_scale"], step_count=meta["step_count"],
+            distill_alpha=meta["distill_alpha"], **wrappers)
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: agent checkpoint lacks {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +711,12 @@ def train(env_current, env_peer, hp: AgentHyperparams, n_max: int,
                     if len(side.buffer) < max(hp.warmup, hp.batch_size):
                         side.agent.step_count += 1
                         continue
-                    batch = side.buffer.sample(side.sample_rng, hp.batch_size)
+                    states, actions, rewards, next_states = side.buffer.sample(
+                        side.sample_rng, hp.batch_size)
+                    # Featurise each half once; every pass below shares it.
+                    featurise = side.agent.actor._state_rows
+                    batch = (featurise(states), actions, rewards,
+                             featurise(next_states))
                     y = td_target(side.agent, batch, hp.gamma, hp.smooth_std,
                                   hp.smooth_clip, side.smooth_rng)
                     l1, l2 = update_critics(side.agent, batch, y, hp.critic_lr)

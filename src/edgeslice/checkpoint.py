@@ -15,9 +15,12 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import os
 
 import numpy as np
+
+from .errors import CheckpointError
 
 MAGIC = "EDGESLICE-CKPT-V1"
 
@@ -39,21 +42,45 @@ def save_arrays(path, arrays: dict, meta: dict | None = None) -> None:
 
 
 def load_arrays(path):
-    """Read a checkpoint; returns (arrays dict, metadata dict)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    """Read a checkpoint; returns (arrays dict, metadata dict).
+
+    Raises CheckpointError naming the path for a missing or unreadable
+    file, a bad magic line or JSON header, a name line without its payload
+    line, and a payload whose byte count does not match its header."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CheckpointError(f"{path}: cannot read checkpoint: {exc}") from exc
     if not lines or lines[0] != MAGIC:
-        raise ValueError(f"{path}: not an {MAGIC} checkpoint")
-    meta = json.loads(lines[1])
+        raise CheckpointError(f"{path}: not an {MAGIC} checkpoint")
+    try:
+        meta = json.loads(lines[1]) if len(lines) > 1 else None
+    except json.JSONDecodeError as exc:
+        raise CheckpointError(f"{path}: bad JSON metadata header: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: metadata header is missing or not a JSON object")
     arrays = {}
     i = 2
     while i < len(lines):
         if not lines[i].strip():
             i += 1
             continue
+        if i + 1 >= len(lines):
+            raise CheckpointError(f"{path}: array line {lines[i]!r} has no "
+                                  f"payload line (truncated file?)")
         header = lines[i].split()
-        name, dtype, shape = header[0], header[1], tuple(int(d) for d in header[2:])
-        raw = base64.b64decode(lines[i + 1])
+        try:
+            name, dtype = header[0], np.dtype(header[1])
+            shape = tuple(int(d) for d in header[2:])
+            raw = base64.b64decode(lines[i + 1], validate=True)
+        except (IndexError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path}: bad array entry {lines[i]!r}: {exc}") from exc
+        expected = dtype.itemsize * math.prod(shape)
+        if len(raw) != expected:
+            raise CheckpointError(
+                f"{path}: array {name!r} has {len(raw)} payload bytes, "
+                f"its header shape {shape} needs {expected}")
         arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
         i += 2
     return arrays, meta

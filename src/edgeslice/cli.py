@@ -1,8 +1,9 @@
 """Batch command-line interface.
 
-Exit codes: 0 success, 2 configuration error, 3 infeasible slicing demand,
-4 numeric divergence during training.  Set EDGESLICE_LOG=debug|info|warning
-to control stderr verbosity.
+Exit codes: 0 success, 2 configuration error (bad config, flag value or
+checkpoint file), 3 infeasible slicing demand, 4 numeric divergence during
+training, 5 cannot write output.  Set EDGESLICE_LOG=debug|info|warning to
+control stderr verbosity.
 """
 
 from __future__ import annotations
@@ -15,13 +16,15 @@ import click
 
 from . import agent as agent_mod
 from . import harness
-from .config import load_config
-from .errors import ConfigError, DivergenceError, InfeasibleSliceError
+from .config import load_config, require_seed
+from .errors import (CheckpointError, ConfigError, DivergenceError,
+                     InfeasibleSliceError)
 from .forecasting import ForecastModel
 
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_DIVERGENCE = 4
+EXIT_OUTPUT = 5
 
 
 def _setup_logging() -> None:
@@ -39,12 +42,14 @@ def _fail(code: int, message: str):
 def _guarded(fn):
     try:
         return fn()
-    except ConfigError as exc:
+    except (ConfigError, CheckpointError) as exc:
         _fail(EXIT_CONFIG, str(exc))
     except InfeasibleSliceError as exc:
         _fail(EXIT_INFEASIBLE, str(exc))
     except DivergenceError as exc:
         _fail(EXIT_DIVERGENCE, str(exc))
+    except OSError as exc:
+        _fail(EXIT_OUTPUT, f"cannot write output: {exc}")
 
 
 def _load_bundles(agent_checkpoint, forecaster_checkpoint):
@@ -72,6 +77,7 @@ def run_cmd(config_path, policy, seed, out_dir, agent_checkpoint,
             forecaster_checkpoint):
     """Simulate one policy over the configured horizon and write reports."""
     def body():
+        require_seed(seed, "--seed")
         config = load_config(config_path)
         bundle, model = _load_bundles(agent_checkpoint, forecaster_checkpoint)
         metrics = harness.run(config, policy, seed, agent_bundle=bundle,
@@ -93,6 +99,8 @@ def run_cmd(config_path, policy, seed, out_dir, agent_checkpoint,
 def train_cmd(config_path, out_dir, seed):
     """Train the traffic forecaster and the dual offloading agents."""
     def body():
+        if seed is not None:
+            require_seed(seed, "--seed")
         config = load_config(config_path)
         info = harness.train_all(config, out_dir, seed=seed)
         click.echo(f"checkpoints written to {info['out_dir']} "
@@ -122,6 +130,8 @@ def compare_cmd(config_path, policies, seeds, out_dir, agent_checkpoint,
             seed_list = [int(s) for s in seeds.split(",") if s.strip()]
         except ValueError as exc:
             raise ConfigError(f"bad --seeds list {seeds!r}") from exc
+        for s in seed_list:
+            require_seed(s, "--seeds entry")
         bundle, model = _load_bundles(agent_checkpoint, forecaster_checkpoint)
         peer = agent_mod.load_agent(peer_checkpoint) if peer_checkpoint else None
         summary = harness.compare(config, tags, seed_list, out_dir,
@@ -140,6 +150,7 @@ def compare_cmd(config_path, policies, seeds, out_dir, agent_checkpoint,
 def oracle_cmd(config_path, instances, seed):
     """Small-instance exactness checks against the brute-force oracles."""
     def body():
+        require_seed(seed, "--seed")
         config = load_config(config_path)
         results = harness.oracle_checks(config, instances=instances, seed=seed)
         failed = False

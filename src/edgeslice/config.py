@@ -133,6 +133,11 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def require_seed(seed: int, label: str) -> None:
+    """Seeds feed numpy's SeedSequence, which accepts only integers >= 0."""
+    _require(seed >= 0, f"{label} must be >= 0, got {seed}")
+
+
 def _ordered_range(name: str, pair) -> tuple:
     _require(isinstance(pair, (list, tuple)) and len(pair) == 2,
              f"field {name!r} must be a [low, high] pair")
@@ -148,6 +153,7 @@ def build_config(document: dict) -> Config:
     _require(int(doc["short_slots"]) >= 1, "field 'short_slots' must be >= 1")
     _require(int(doc["regions"]) >= 1, "field 'regions' must be >= 1")
     _require(int(doc["n_max"]) >= 1, "field 'n_max' must be >= 1")
+    require_seed(int(doc["seed"]), "field 'seed'")
     _require(float(doc["slot_duration"]) > 0, "field 'slot_duration' must be positive")
     for name in ("kappa_up", "kappa_exe"):
         _require(0.0 < float(doc[name]) < 1.0, f"field {name!r} must lie in (0, 1)")
@@ -236,6 +242,8 @@ def load_config(path) -> Config:
             document = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

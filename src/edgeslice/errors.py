@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-CLI exit-code mapping: ConfigError -> 2, InfeasibleSliceError -> 3,
-DivergenceError -> 4.
+CLI exit-code mapping: ConfigError and CheckpointError -> 2,
+InfeasibleSliceError -> 3, DivergenceError -> 4, OSError while writing
+outputs -> 5.
 """
 
 
@@ -11,6 +12,10 @@ class EdgesliceError(Exception):
 
 class ConfigError(EdgesliceError):
     """Bad configuration file or field value."""
+
+
+class CheckpointError(EdgesliceError, ValueError):
+    """A checkpoint file is missing, unreadable, truncated or malformed."""
 
 
 class ConstraintViolation(EdgesliceError):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checkpoint
-from .errors import DivergenceError
+from .errors import CheckpointError, DivergenceError
 from .nn import AdamState, activation
 
 _ELU, _DELU = activation("elu")
@@ -296,12 +296,19 @@ class ForecastModel:
     def load(cls, path) -> "ForecastModel":
         arrays, meta = checkpoint.load_arrays(path)
         if meta.get("format") != cls.FORMAT:
-            raise ValueError(f"{path}: not a forecaster checkpoint")
-        config = ForecastConfig(
-            width=meta["width"], encoder_layers=meta["encoder_layers"],
-            topu_factor=meta["topu_factor"], head_hidden=meta["head_hidden"],
-            history_window=meta["history_window"], current_window=meta["current_window"])
+            raise CheckpointError(f"{path}: not a forecaster checkpoint")
+        try:
+            config = ForecastConfig(
+                width=meta["width"], encoder_layers=meta["encoder_layers"],
+                topu_factor=meta["topu_factor"], head_hidden=meta["head_hidden"],
+                history_window=meta["history_window"],
+                current_window=meta["current_window"])
+        except KeyError as exc:
+            raise CheckpointError(f"{path}: forecaster checkpoint lacks {exc}") from exc
         model = cls(config, np.random.default_rng(0))
+        missing = sorted(set(model.params) - set(arrays))
+        if missing:
+            raise CheckpointError(f"{path}: forecaster checkpoint lacks {missing}")
         model.params = arrays
         return model
 

@@ -303,7 +303,6 @@ def _csv_text(header, rows) -> str:
 
 def report(metrics: MetricsReport, out_dir) -> dict:
     """Write metrics.csv, summary.json and settlements.csv; returns paths."""
-    os.makedirs(out_dir, exist_ok=True)
     paths = {
         "metrics": os.path.join(out_dir, "metrics.csv"),
         "summary": os.path.join(out_dir, "summary.json"),
@@ -311,6 +310,7 @@ def report(metrics: MetricsReport, out_dir) -> dict:
     }
     _csv_rows = [r.as_row() for r in metrics.rows]
     try:
+        os.makedirs(out_dir, exist_ok=True)
         _atomic_write(paths["metrics"], _csv_text(METRICS_HEADER, _csv_rows))
         _atomic_write(paths["summary"],
                       json.dumps(metrics.totals(), sort_keys=True, indent=2) + "\n")

@@ -65,11 +65,20 @@ class AdamState:
             if name not in self.m:
                 self.m[name] = np.zeros_like(g)
                 self.v[name] = np.zeros_like(g)
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[name] / bc1
-            v_hat = self.v[name] / bc2
-            params[name] -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            # In place, in the operation order of
+            # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g;
+            # p -= lr * (m/bc1) / (sqrt(v/bc2) + eps).
+            m, v = self.m[name], self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            step = m / bc1
+            step *= lr
+            denom = np.sqrt(v / bc2)
+            denom += self.eps
+            step /= denom
+            params[name] -= step
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +134,14 @@ class Network:
         pre = []
         post = [h]
         for i in range(self.num_layers):
-            z = h @ self.params[f"w{i}"] + self.params[f"b{i}"]
-            f, _ = activation(self.activations[i])
-            h = f(z)
+            z = h @ self.params[f"w{i}"]
+            z += self.params[f"b{i}"]
             pre.append(z)
+            if self.activations[i] == "relu":
+                # In place: backward reads relu's step from the output.
+                h = np.maximum(z, 0.0, out=z)
+            else:
+                h = activation(self.activations[i])[0](z)
             post.append(h)
         out = h[0] if squeeze else h
         if return_cache:
@@ -146,11 +159,25 @@ class Network:
         delta = upstream[None, :] if cache["squeeze"] else upstream
         grads = {}
         for i in reversed(range(self.num_layers)):
-            _, df = activation(self.activations[i])
-            delta = delta * df(cache["pre"][i])
+            tag = self.activations[i]
+            # Same bits as delta * df(pre): relu's derivative is the 0/1
+            # step, sigmoid's is s(1 - s) of the cached output, identity's 1.
+            if tag == "relu":
+                # In place except at the output layer, where delta is the
+                # caller's upstream array.
+                delta = np.multiply(delta, cache["post"][i + 1] > 0.0,
+                                    out=delta if i < self.num_layers - 1 else None)
+            elif tag == "sigmoid":
+                s = cache["post"][i + 1]
+                delta = delta * (s * (1.0 - s))
+            elif tag != "identity":
+                delta = delta * activation(tag)[1](cache["pre"][i])
             grads[f"w{i}"] = cache["post"][i].T @ delta
             grads[f"b{i}"] = delta.sum(axis=0)
-            delta = delta @ self.params[f"w{i}"].T
+            w = self.params[f"w{i}"]
+            # A 1-wide layer's input gradient is an outer product: each
+            # entry is one exact multiply, so broadcasting skips the matmul.
+            delta = delta * w.T if w.shape[1] == 1 else delta @ w.T
         dinput = delta[0] if cache["squeeze"] else delta
         return grads, dinput
 

@@ -19,20 +19,34 @@ from .env import EconParams, RadioParams, RegionState, TaskSpec, VmQueueState, s
 
 
 def sample_tasks(task_spec: dict, n: int, rng: np.random.Generator) -> list:
-    """Draw n i.i.d. TaskSpec records from configured attribute ranges."""
+    """Draw n i.i.d. TaskSpec records from configured attribute ranges.
+
+    Consumes the generator exactly as per-task ``uniform`` (data size,
+    density), ``choice(p=...)`` (priority) and ``uniform`` (distance) calls
+    would: four doubles per task, mapped the same way."""
     lo_d, hi_d = task_spec["data_size"]
     lo_e, hi_e = task_spec["compute_density"]
     lo_l, hi_l = task_spec["distance"]
     priorities = task_spec["priorities"]
-    probs = task_spec["priority_probs"]
-    out = []
-    for _ in range(n):
-        out.append(TaskSpec(
-            data_size=float(rng.uniform(lo_d, hi_d)),
-            compute_density=float(rng.uniform(lo_e, hi_e)),
-            priority=float(priorities[rng.choice(len(priorities), p=probs)]),
-            distance=float(rng.uniform(lo_l, hi_l))))
-    return out
+    probs = np.asarray(task_spec["priority_probs"], dtype=float)
+    if n <= 0:
+        return []
+    # Generator.choice's checks: same length, non-negative, sums to 1.
+    if (len(probs) != len(priorities) or np.any(probs < 0)
+            or not abs(probs.sum() - 1.0) <= math.sqrt(np.finfo(float).eps)):
+        raise ValueError(f"priority probabilities {probs.tolist()} do not form "
+                         f"a distribution over {len(priorities)} priorities")
+    u = rng.random((n, 4))
+    data = (lo_d + (hi_d - lo_d) * u[:, 0]).tolist()
+    density = (lo_e + (hi_e - lo_e) * u[:, 1]).tolist()
+    # Generator.choice: the first index whose normalized cdf exceeds u.
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    picks = cdf.searchsorted(u[:, 2], side="right").tolist()
+    distance = (lo_l + (hi_l - lo_l) * u[:, 3]).tolist()
+    return [TaskSpec(data_size=d, compute_density=e,
+                     priority=float(priorities[j]), distance=l)
+            for d, e, j, l in zip(data, density, picks, distance)]
 
 
 def traffic_counts(traffic: dict, regions: int, horizon: int,

@@ -409,6 +409,75 @@ class TestHybridPolicy:
             assert np.array_equal(h, a) or np.array_equal(h, b)
 
 
+class TestSharedFeatures:
+    """A batch featurised once gives the same bits as raw observations."""
+
+    def featurised(self, agent, batch):
+        states, actions, rewards, next_states = batch
+        return (agent.actor._state_rows(states), actions, rewards,
+                agent.actor._state_rows(next_states))
+
+    def test_value_estimate_bits(self):
+        agent = default_agent(np.random.default_rng(40))
+        states = make_states(12, np.random.default_rng(41))
+        feats = agent.actor._state_rows(states)
+        assert np.array_equal(A.value_estimate(agent, states),
+                              A.value_estimate(agent, feats))
+
+    def test_td_target_bits(self):
+        agent = default_agent(np.random.default_rng(42))
+        batch = make_batch(12, np.random.default_rng(43))
+        raw = A.td_target(agent, batch, 0.9, 0.2, 0.5, np.random.default_rng(44))
+        shared = A.td_target(agent, self.featurised(agent, batch), 0.9, 0.2, 0.5,
+                             np.random.default_rng(44))
+        assert np.array_equal(raw, shared)
+
+    def test_update_critics_step_bits(self):
+        batch = make_batch(12, np.random.default_rng(45))
+        targets = np.random.default_rng(46).normal(size=12)
+        a = default_agent(np.random.default_rng(47))
+        b = default_agent(np.random.default_rng(47))
+        losses_raw = A.update_critics(a, batch, targets, lr=1e-3)
+        losses_shared = A.update_critics(b, self.featurised(b, batch), targets,
+                                         lr=1e-3)
+        assert losses_raw == losses_shared
+        for name in ("critic1", "critic2"):
+            pa, pb = getattr(a, name).params, getattr(b, name).params
+            assert all(np.array_equal(pa[k], pb[k]) for k in pa)
+
+    def test_distill_bits(self):
+        batch = make_batch(12, np.random.default_rng(48))
+        peer = default_agent(np.random.default_rng(49))
+        a = default_agent(np.random.default_rng(50))
+        b = default_agent(np.random.default_rng(50))
+        loss_raw = A.distill(a, peer, batch, lr=1e-2)
+        loss_shared = A.distill(b, peer, self.featurised(b, batch), lr=1e-2)
+        assert loss_raw == loss_shared
+        assert all(np.array_equal(a.actor.params[k], b.actor.params[k])
+                   for k in a.actor.params)
+
+    def test_holder_of_another_scale_is_refeaturised(self):
+        current = default_agent(np.random.default_rng(53))
+        peer = default_agent(np.random.default_rng(54))
+        for block in (peer.actor, peer.critic1, peer.critic2):
+            block.state_scale = block.state_scale * 2.0
+        states = make_states(6, np.random.default_rng(55))
+        feats = current.actor._state_rows(states)
+        assert np.array_equal(A.value_estimate(peer, feats),
+                              A.value_estimate(peer, states))
+
+    def test_critic_rows_follow_new_actions(self):
+        agent = default_agent(np.random.default_rng(51))
+        rng = np.random.default_rng(52)
+        states = make_states(6, rng)
+        feats = agent.actor._state_rows(states)
+        for _ in range(3):
+            actions = rng.uniform(0, 1, size=(6, A.action_dim(N_MAX)))
+            for critic in (agent.critic1, agent.critic2):
+                assert np.array_equal(critic.forward(feats, actions),
+                                      critic.forward(states, actions))
+
+
 class TestGradientsThroughBlocks:
     def test_critic_action_gradients_match_finite_differences(self):
         rng = np.random.default_rng(21)

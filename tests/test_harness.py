@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from edgeslice import agent, harness
+from edgeslice import agent, checkpoint, harness
 from edgeslice.cli import main as cli_main
 from edgeslice.config import DEFAULT_CONFIG, build_config, load_config
-from edgeslice.env import horizon_profit
-from edgeslice.errors import ConfigError
-from edgeslice.scenario import generate_scenario, traffic_counts
+from edgeslice.env import TaskSpec, horizon_profit
+from edgeslice.errors import CheckpointError, ConfigError
+from edgeslice.scenario import generate_scenario, sample_tasks, traffic_counts
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -71,6 +71,39 @@ class TestLoadConfig:
         doc = {"tasks": {"priority_probs": [1.5, -0.3, -0.2]}}
         with pytest.raises(ConfigError, match="priority_probs"):
             load_config(write_config(tmp_path, doc))
+
+
+    def test_negative_seed_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="seed"):
+            load_config(write_config(tmp_path, {"seed": -1}))
+
+
+class TestSampleTasks:
+    @staticmethod
+    def scalar_reference(spec, n, rng):
+        """Per-task draws in the order data size, density, priority, distance."""
+        return [TaskSpec(
+            data_size=float(rng.uniform(*spec["data_size"])),
+            compute_density=float(rng.uniform(*spec["compute_density"])),
+            priority=float(spec["priorities"][
+                rng.choice(len(spec["priorities"]), p=spec["priority_probs"])]),
+            distance=float(rng.uniform(*spec["distance"])))
+            for _ in range(n)]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 9, 64])
+    @pytest.mark.parametrize("seed", [0, 1, 17])
+    def test_same_tasks_and_stream_as_scalar_draws(self, n, seed):
+        spec = build_config({"tasks": {"priority_probs": [0.25, 0.45, 0.3]}}).tasks
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert sample_tasks(spec, n, fast) == self.scalar_reference(spec, n, slow)
+        assert fast.random() == slow.random()
+
+    @pytest.mark.parametrize("probs", [(0.5, 0.6, -0.1), (0.2, 0.2, 0.2),
+                                       (0.5, 0.5), (float("nan"), 0.5, 0.5)])
+    def test_bad_probabilities_rejected(self, probs):
+        spec = dict(build_config({}).tasks, priority_probs=probs)
+        with pytest.raises(ValueError):
+            sample_tasks(spec, 3, np.random.default_rng(0))
 
 
 class TestGenerateScenario:
@@ -219,6 +252,67 @@ class TestReport:
         assert summary["offloaded"] == sum(int(r["offloaded"]) for r in rows)
 
 
+    def test_uncreatable_directory_raises_oserror(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        metrics = harness.MetricsReport(policy="greedy", seed=0)
+        with pytest.raises(OSError, match="cannot write report"):
+            harness.report(metrics, blocker / "sub")
+
+
+class TestCheckpointErrors:
+    """Every unreadable checkpoint is one CheckpointError naming the path."""
+
+    def saved_lines(self, tmp_path):
+        path = tmp_path / "good.ckpt"
+        checkpoint.save_arrays(path, {"a": np.arange(3.0), "b": np.ones((2, 2))},
+                               {"format": "test"})
+        return path.read_text().splitlines()
+
+    def load_text(self, tmp_path, text):
+        path = tmp_path / "bad.ckpt"
+        path.write_text(text)
+        with pytest.raises(CheckpointError, match="bad.ckpt"):
+            checkpoint.load_arrays(path)
+
+    def test_round_trip_still_loads(self, tmp_path):
+        self.saved_lines(tmp_path)
+        arrays, meta = checkpoint.load_arrays(tmp_path / "good.ckpt")
+        assert meta == {"format": "test"}
+        assert np.array_equal(arrays["b"], np.ones((2, 2)))
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(CheckpointError, match="missing.ckpt"):
+            checkpoint.load_arrays(tmp_path / "missing.ckpt")
+
+    def test_bad_magic(self, tmp_path):
+        lines = self.saved_lines(tmp_path)
+        self.load_text(tmp_path, "\n".join(["NOT-A-CKPT"] + lines[1:]) + "\n")
+
+    def test_bad_json_header(self, tmp_path):
+        lines = self.saved_lines(tmp_path)
+        self.load_text(tmp_path, lines[0] + "\n" + lines[1][:5] + "\n")
+
+    def test_name_line_without_payload(self, tmp_path):
+        lines = self.saved_lines(tmp_path)
+        self.load_text(tmp_path, "\n".join(lines[:5]) + "\n")
+
+    def test_payload_shorter_than_header_shape(self, tmp_path):
+        lines = self.saved_lines(tmp_path)
+        lines[2] = "a float64 4"  # the payload holds 3 values
+        self.load_text(tmp_path, "\n".join(lines) + "\n")
+
+    def test_agent_checkpoint_cut_after_header(self, tmp_path):
+        bundle = agent.make_agent(4, np.ones(agent.state_dim(4)), hidden=(4,),
+                                  rng=np.random.default_rng(0))
+        path = tmp_path / "agent.ckpt"
+        agent.save_agent(bundle, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:2]) + "\n")
+        with pytest.raises(CheckpointError, match="agent.ckpt"):
+            agent.load_agent(path)
+
+
 class TestCompare:
     def test_writes_comparison_and_summary(self, tmp_path):
         cfg = build_config(small_doc())
@@ -337,3 +431,55 @@ class TestCli:
                                           "--out", str(tmp_path / "cmp")])
         assert result.exit_code == 2, result.output
         assert "error:" in result.output
+
+    def write_agent(self, tmp_path, cfg):
+        bundle = agent.make_agent(cfg.n_max, harness.default_state_scale(cfg),
+                                  hidden=(4,), rng=np.random.default_rng(0))
+        path = tmp_path / "agent.ckpt"
+        agent.save_agent(bundle, path)
+        return path
+
+    @pytest.mark.parametrize("flag", ["--agent-checkpoint", "--peer-checkpoint"])
+    def test_missing_checkpoint_exit_code_2(self, tmp_path, flag):
+        config_path = write_config(tmp_path, small_doc())
+        result = CliRunner().invoke(cli_main, [
+            "compare", "--config", config_path, "--policies", "sliceoff",
+            "--seeds", "0", "--out", str(tmp_path / "cmp"),
+            "--agent-checkpoint", str(self.write_agent(tmp_path, build_config(small_doc()))),
+            flag, str(tmp_path / "missing.ckpt")])
+        assert result.exit_code == 2, result.output
+        assert "error:" in result.output and "missing.ckpt" in result.output
+
+    def test_truncated_checkpoint_exit_code_2(self, tmp_path):
+        config_path = write_config(tmp_path, small_doc())
+        path = self.write_agent(tmp_path, build_config(small_doc()))
+        magic, header = path.read_text().splitlines()[:2]
+        path.write_text(f"{magic}\n{header[:len(header) // 2]}")  # cut mid-header
+        result = CliRunner().invoke(cli_main, [
+            "run", "--config", config_path, "--policy", "sliceoff",
+            "--out", str(tmp_path / "out"), "--agent-checkpoint", str(path)])
+        assert result.exit_code == 2, result.output
+        assert "error:" in result.output and "agent.ckpt" in result.output
+
+    @pytest.mark.parametrize("args", [
+        ["run", "--policy", "greedy", "--seed", "-1"],
+        ["compare", "--policies", "greedy", "--seeds", "0,-1"],
+        ["train", "--seed", "-1"],
+        ["oracle", "--seed", "-1"],
+    ])
+    def test_negative_seed_exit_code_2(self, tmp_path, args):
+        config_path = write_config(tmp_path, small_doc())
+        out = [] if args[0] == "oracle" else ["--out", str(tmp_path / "out")]
+        result = CliRunner().invoke(cli_main, args + ["--config", config_path] + out)
+        assert result.exit_code == 2, result.output
+        assert "error:" in result.output and "seed" in result.output
+
+    def test_uncreatable_out_exit_code_5(self, tmp_path):
+        config_path = write_config(tmp_path, small_doc())
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        result = CliRunner().invoke(cli_main, [
+            "run", "--config", config_path, "--policy", "greedy",
+            "--out", str(blocker / "sub")])
+        assert result.exit_code == 5, result.output
+        assert "error: cannot write output" in result.output

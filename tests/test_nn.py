@@ -140,6 +140,69 @@ class TestBackward:
         assert dx.shape == x.shape
 
 
+def reference_backward(net, x, upstream):
+    """Textbook reverse pass: delta * f'(z), then W^T, all via matmul."""
+    h, pre, post = x, [], [x]
+    for i in range(net.num_layers):
+        z = h @ net.params[f"w{i}"] + net.params[f"b{i}"]
+        h = activation(net.activations[i])[0](z)
+        pre.append(z)
+        post.append(h)
+    delta, grads = upstream, {}
+    for i in reversed(range(net.num_layers)):
+        delta = delta * activation(net.activations[i])[1](pre[i])
+        grads[f"w{i}"] = post[i].T @ delta
+        grads[f"b{i}"] = delta.sum(axis=0)
+        delta = delta @ net.params[f"w{i}"].T
+    return h, grads, delta
+
+
+class TestKernelBits:
+    """The trimmed kernels give the textbook formulas' exact bits."""
+
+    @pytest.mark.parametrize("act", ALL_ACTIVATIONS)
+    @pytest.mark.parametrize("width_out", [1, 3])
+    def test_forward_backward_bits(self, act, width_out):
+        rng = np.random.default_rng(31)
+        net = random_net(rng, dims=[5, 7, 6, width_out], acts=[act, act, act])
+        x = rng.normal(size=(40, 5))
+        upstream = rng.normal(size=(40, width_out))
+        upstream_before = upstream.copy()
+        out_ref, grads_ref, dx_ref = reference_backward(net, x, upstream)
+        out, cache = net.forward(x, return_cache=True)
+        grads, dx = net.backward(cache, upstream)
+        assert np.array_equal(out, out_ref)
+        assert all(np.array_equal(grads[k], grads_ref[k]) for k in grads_ref)
+        assert np.array_equal(dx, dx_ref)
+        assert np.array_equal(upstream, upstream_before)  # caller's array kept
+
+    def test_backward_leaves_single_row_upstream_untouched(self):
+        rng = np.random.default_rng(32)
+        net = random_net(rng, dims=[3, 4, 2], acts=["relu", "relu"])
+        _, cache = net.forward(rng.normal(size=3), return_cache=True)
+        upstream = np.array([-1.5, 2.0])
+        net.backward(cache, upstream)
+        assert np.array_equal(upstream, [-1.5, 2.0])
+
+    def test_adam_bits_over_several_steps(self):
+        rng = np.random.default_rng(33)
+        params = {"w": rng.normal(size=(4, 3)), "b": rng.normal(size=3)}
+        ref = {k: v.copy() for k, v in params.items()}
+        m = {k: np.zeros_like(v) for k, v in params.items()}
+        v2 = {k: np.zeros_like(v) for k, v in params.items()}
+        adam = AdamState()
+        for step in range(1, 6):
+            grads = {k: rng.normal(size=p.shape) for k, p in params.items()}
+            adam.apply(params, grads, lr=1e-2)
+            for k, g in grads.items():
+                m[k] = 0.9 * m[k] + (1.0 - 0.9) * g
+                v2[k] = 0.999 * v2[k] + (1.0 - 0.999) * g * g
+                m_hat = m[k] / (1.0 - 0.9 ** step)
+                v_hat = v2[k] / (1.0 - 0.999 ** step)
+                ref[k] -= 1e-2 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            assert all(np.array_equal(params[k], ref[k]) for k in ref)
+
+
 class TestOptimizerStep:
     def test_lr_zero_is_noop(self):
         rng = np.random.default_rng(3)
