@@ -45,7 +45,7 @@ def encode_state(region: RegionState, radio: RadioParams, econ: EconParams,
     compute_demand = np.zeros(n_max)
     mask = np.zeros(n_max)
     for j, task in enumerate(region.tasks):
-        rate_demand[j] = task.data_size / (econ.deadline * radio.spectral_efficiency(task.distance))
+        rate_demand[j] = task.data_size / (econ.deadline * task.spectral_efficiency(radio))
         compute_demand[j] = task.work / econ.deadline
         mask[j] = 1.0
     return np.concatenate([
@@ -282,7 +282,8 @@ class TaskBlockActor(_TaskBlock):
         d_pair = np.empty((k, n, 2))
         d_pair[:, :, 0] = d_actions[:, :n]
         d_pair[:, :, 1] = d_actions[:, n:]
-        grads, _ = self.net.backward(cache["net"], d_pair.reshape(k * n, 2))
+        grads, _ = self.net.backward(cache["net"], d_pair.reshape(k * n, 2),
+                                     input_grad=False)
         return grads
 
 
@@ -337,13 +338,18 @@ class TaskBlockCritic(_TaskBlock):
             return values, {"net": cache, "aux": aux}
         return values
 
-    def backward(self, cache, d_values: np.ndarray):
-        """Gradients of sum(d_values * Q) w.r.t. parameters and actions."""
+    def backward(self, cache, d_values: np.ndarray, *, action_grad: bool = True):
+        """Gradients of sum(d_values * Q) w.r.t. parameters and actions; the
+        action gradient is None, and not computed, when ``action_grad`` is
+        false."""
         aux = cache["aux"]
         k, n = aux["k"], self.n_max
         d_values = np.asarray(d_values, dtype=float).reshape(k)
         d_out = (d_values[:, None] * aux["mask"]).reshape(k * n, 1)
-        grads, d_rows_flat = self.net.backward(cache["net"], d_out)
+        grads, d_rows_flat = self.net.backward(cache["net"], d_out,
+                                               input_grad=action_grad)
+        if not action_grad:
+            return grads, None
         d_rows = d_rows_flat.reshape(k, n, self.IN_COLS)
         d_actions = np.zeros((k, 2 * n))
         d_actions[:, n:] = d_rows[:, :, _STATE_COLS + 1]
@@ -452,7 +458,7 @@ def update_critics(agent: AgentBundle, batch, targets: np.ndarray,
         loss = float(err @ err) / k
         if not math.isfinite(loss):
             raise DivergenceError(f"non-finite critic loss {loss}")
-        grads, _ = critic.backward(cache, 2.0 * err / k)
+        grads, _ = critic.backward(cache, 2.0 * err / k, action_grad=False)
         critic.apply_gradients(grads, lr)
         losses.append(loss)
     return tuple(losses)

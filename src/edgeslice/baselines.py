@@ -38,7 +38,7 @@ def minimal_bandwidth(task, queue_ahead: float, frequency: float,
     if budget <= 0.0:
         return math.inf
     rate = task.data_size / budget
-    return rate / radio.spectral_efficiency(task.distance) * (1.0 + _SAFETY)
+    return rate / task.spectral_efficiency(radio) * (1.0 + _SAFETY)
 
 
 def _exact_allocation(region: RegionState, chosen: dict, radio, econ, frequency):

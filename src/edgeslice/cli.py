@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 configuration error (bad config, flag value or
 checkpoint file), 3 infeasible slicing demand, 4 numeric divergence during
-training, 5 cannot write output.  Set EDGESLICE_LOG=debug|info|warning to
-control stderr verbosity.
+training, 5 cannot write output, 6 allocation or rental constraint violated.
+Set EDGESLICE_LOG=debug|info|warning to control stderr verbosity.
 """
 
 from __future__ import annotations
@@ -17,14 +17,15 @@ import click
 from . import agent as agent_mod
 from . import harness
 from .config import load_config, require_seed
-from .errors import (CheckpointError, ConfigError, DivergenceError,
-                     InfeasibleSliceError)
+from .errors import (CheckpointError, ConfigError, ConstraintViolation,
+                     DivergenceError, InfeasibleSliceError)
 from .forecasting import ForecastModel
 
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_DIVERGENCE = 4
 EXIT_OUTPUT = 5
+EXIT_CONSTRAINT = 6
 
 
 def _setup_logging() -> None:
@@ -48,6 +49,8 @@ def _guarded(fn):
         _fail(EXIT_INFEASIBLE, str(exc))
     except DivergenceError as exc:
         _fail(EXIT_DIVERGENCE, str(exc))
+    except ConstraintViolation as exc:
+        _fail(EXIT_CONSTRAINT, f"constraint violated: {exc}")
     except OSError as exc:
         _fail(EXIT_OUTPUT, f"cannot write output: {exc}")
 

@@ -11,38 +11,83 @@ float "currency unit".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConstraintViolation, InfeasibleUploadError
-from .validation import require_finite, require_nonnegative, require_positive
+from .validation import (require_finite, require_nonnegative, require_positive,
+                         require_positive_array)
 
 
 # ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TaskSpec:
     """One user's offloading request: data size, computing density, priority,
-    distance to the base station."""
+    distance to the base station.
+
+    ``work`` is derived once at construction.  The uplink spectral
+    efficiency is evaluated on first use and reused for the same
+    `RadioParams` object; frozen fields keep it valid.
+    """
 
     data_size: float        # bits
     compute_density: float  # cycles per bit
     priority: float         # revenue weight
     distance: float         # meters to the BS
+    work: float = field(init=False, compare=False, repr=False)  # CPU cycles
+    _efficiency: tuple = field(init=False, compare=False, repr=False)  # (radio, bits/s/Hz)
 
-    def __post_init__(self):
-        require_positive("data_size", self.data_size)
-        require_positive("compute_density", self.compute_density)
-        require_positive("priority", self.priority)
-        require_positive("distance", self.distance)
+    def __init__(self, data_size, compute_density, priority, distance):
+        require_positive("data_size", data_size)
+        require_positive("compute_density", compute_density)
+        require_positive("priority", priority)
+        require_positive("distance", distance)
+        _fill_task(self, data_size, compute_density, priority, distance)
 
-    @property
-    def work(self) -> float:
-        """Total CPU cycles the task needs."""
-        return self.data_size * self.compute_density
+    @classmethod
+    def from_columns(cls, data_size, compute_density, priority, distance) -> list:
+        """One TaskSpec per row of four equal-length numeric arrays.
+
+        Each column is checked once as a whole against the rule the
+        constructor applies value by value: finite positive numbers."""
+        columns = [np.asarray(c) for c in (data_size, compute_density, priority, distance)]
+        if len({c.shape for c in columns}) != 1 or columns[0].ndim != 1:
+            raise ValueError("task attribute columns must be 1-D and of equal length")
+        for name, column in zip(("data_size", "compute_density", "priority", "distance"),
+                                columns):
+            require_positive_array(name, column)
+        tasks = []
+        new = cls.__new__
+        for d, e, p, l in zip(*(c.tolist() for c in columns)):
+            task = new(cls)
+            _fill_task(task, d, e, p, l)
+            tasks.append(task)
+        return tasks
+
+    def spectral_efficiency(self, radio: "RadioParams") -> float:
+        """``radio.spectral_efficiency(self.distance)``, evaluated once per
+        task and radio object."""
+        cached_radio, value = self._efficiency
+        if cached_radio is not radio:
+            value = radio.spectral_efficiency(self.distance)
+            object.__setattr__(self, "_efficiency", (radio, value))
+        return value
+
+
+def _fill_task(task: TaskSpec, data_size, compute_density, priority, distance) -> None:
+    """Set the fields of a TaskSpec whose values are already checked."""
+    set_field = object.__setattr__
+    set_field(task, "data_size", data_size)
+    set_field(task, "compute_density", compute_density)
+    set_field(task, "priority", priority)
+    set_field(task, "distance", distance)
+    set_field(task, "work", data_size * compute_density)
+    set_field(task, "_efficiency", (None, 0.0))
 
 
 @dataclass(frozen=True)
@@ -190,7 +235,7 @@ class AllocationAction:
         self.vm_index = np.asarray(self.vm_index, dtype=int)
         if self.bw_fraction.shape != self.vm_index.shape:
             raise ValueError("bw_fraction and vm_index must have equal length")
-        if np.any(~np.isfinite(self.bw_fraction)) or np.any(self.bw_fraction < 0):
+        if not np.isfinite(self.bw_fraction).all() or (self.bw_fraction < 0).any():
             raise ValueError("bw_fraction must be finite and nonnegative")
 
     def projected(self) -> "AllocationAction":
@@ -211,8 +256,7 @@ class TimingBreakdown:
     total: float
 
 
-@dataclass(frozen=True)
-class SettlementRecord:
+class SettlementRecord(NamedTuple):
     """One per-task settlement row of the simulation log."""
 
     region: int
@@ -229,8 +273,7 @@ class SettlementRecord:
                   "t_up", "t_que", "t_exe", "t_total", "revenue")
 
     def as_row(self) -> tuple:
-        return (self.region, self.long_slot, self.short_slot, self.task_id,
-                self.t_up, self.t_que, self.t_exe, self.t_total, self.revenue)
+        return tuple(self)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +288,33 @@ def uplink_rate(bw: float, radio: RadioParams, distance: float) -> float:
     return bw * radio.spectral_efficiency(distance)
 
 
+def _require_share(task: TaskSpec, bw: float) -> None:
+    """A task's uplink share must be positive (else it cannot upload) and
+    finite."""
+    if bw <= 0.0:
+        raise InfeasibleUploadError(
+            f"task with {task.data_size:.6g} bits cannot upload over zero bandwidth")
+    require_finite("bw", bw)
+
+
+def _timing(task: TaskSpec, bw: float, efficiency: float, pending: float,
+            frequency: float) -> tuple:
+    """(upload, queue, execute, total) seconds of one task with ``pending``
+    cycles queued ahead of it; the single copy of the timing formula."""
+    t_up = task.data_size / (bw * efficiency)
+    t_que = pending / frequency
+    t_exe = task.work / frequency
+    return t_up, t_que, t_exe, t_up + t_que + t_exe
+
+
+def _revenue(total: float, econ: EconParams, priority: float) -> float:
+    """The settlement rule: the full priority-weighted reward when the total
+    completion time meets the deadline (inclusive), otherwise zero."""
+    if total <= econ.deadline:
+        return econ.reward_per_task * priority
+    return 0.0
+
+
 def task_timing(task: TaskSpec, bw: float, queue: VmQueueState,
                 frequency: float, radio: RadioParams) -> TimingBreakdown:
     """Upload + queueing + execution time of one task on its assigned VM.
@@ -253,22 +323,15 @@ def task_timing(task: TaskSpec, bw: float, queue: VmQueueState,
     backlog already in front of the task divided by the VM frequency.
     """
     require_positive("frequency", frequency)
-    if bw <= 0.0:
-        raise InfeasibleUploadError(
-            f"task with {task.data_size:.6g} bits cannot upload over zero bandwidth")
-    t_up = task.data_size / uplink_rate(bw, radio, task.distance)
-    t_que = queue.pending_work / frequency
-    t_exe = task.work / frequency
-    return TimingBreakdown(upload=t_up, queue=t_que, execute=t_exe,
-                           total=t_up + t_que + t_exe)
+    _require_share(task, bw)
+    return TimingBreakdown(*_timing(task, bw, task.spectral_efficiency(radio),
+                                    queue.pending_work, frequency))
 
 
 def settle(timing: TimingBreakdown, econ: EconParams, priority: float) -> float:
     """Revenue for one task: full priority-weighted reward when the total
     completion time meets the deadline (inclusive), otherwise zero."""
-    if timing.total <= econ.deadline:
-        return econ.reward_per_task * priority
-    return 0.0
+    return _revenue(timing.total, econ, priority)
 
 
 def rented_and_cost(catalog: ResourceCatalog, slices: SliceDecision):
@@ -320,40 +383,49 @@ def step(state: RegionState, action: AllocationAction, econ: EconParams,
     if action.bw_fraction.shape[0] != n:
         raise ValueError(f"action covers {action.bw_fraction.shape[0]} tasks, state has {n}")
     action = action.projected()
-    for j in range(n):
-        if action.bw_fraction[j] > 0 and not (0 <= action.vm_index[j] < state.vm_count):
-            raise ConstraintViolation(
-                f"task {j} assigned to VM {action.vm_index[j]} outside the "
-                f"{state.vm_count} rented VMs")
+    served = action.bw_fraction > 0
+    outside = served & ((action.vm_index < 0) | (action.vm_index >= state.vm_count))
+    if outside.any():
+        j = int(outside.argmax())
+        raise ConstraintViolation(
+            f"task {j} assigned to VM {action.vm_index[j]} outside the "
+            f"{state.vm_count} rented VMs")
+    bandwidth = state.bandwidth
+    if served.any():
+        # task_timing's checks, once per slot.  Projected fractions lie in
+        # [0, 1], so a positive share is infinite only when the rented
+        # bandwidth is; shares that are not positive still raise per task.
+        require_positive("frequency", frequency)
+        if bandwidth > 0.0:
+            require_finite("bw", bandwidth)
 
     next_state = state.copy()
+    pending = [q.pending_work for q in next_state.queues]
+    region, long_slot, short_slot = state.region, state.long_slot, state.short_slot
     records = []
     reward = 0.0
-    for j, task in enumerate(state.tasks):
-        frac = float(action.bw_fraction[j])
+    for j, (task, frac, vm) in enumerate(zip(state.tasks, action.bw_fraction.tolist(),
+                                             action.vm_index.tolist())):
         if frac <= 0.0:
-            records.append(SettlementRecord(
-                region=state.region, long_slot=state.long_slot,
-                short_slot=state.short_slot, task_id=j,
-                t_up=math.inf, t_que=0.0, t_exe=0.0, t_total=math.inf, revenue=0.0))
+            records.append(SettlementRecord(region, long_slot, short_slot, j,
+                                            math.inf, 0.0, 0.0, math.inf, 0.0))
             continue
-        vm = int(action.vm_index[j])
-        timing = task_timing(task, frac * state.bandwidth,
-                             next_state.queues[vm], frequency, radio)
-        revenue = settle(timing, econ, task.priority)
+        bw = frac * bandwidth
+        if not bw > 0.0:
+            _require_share(task, bw)
+        t_up, t_que, t_exe, total = _timing(task, bw, task.spectral_efficiency(radio),
+                                            pending[vm], frequency)
+        revenue = _revenue(total, econ, task.priority)
         if revenue > 0.0:
-            next_state.queues[vm].pending_work += task.work
+            pending[vm] += task.work
         reward += revenue
-        records.append(SettlementRecord(
-            region=state.region, long_slot=state.long_slot,
-            short_slot=state.short_slot, task_id=j,
-            t_up=timing.upload, t_que=timing.queue, t_exe=timing.execute,
-            t_total=timing.total, revenue=revenue))
+        records.append(SettlementRecord(region, long_slot, short_slot, j,
+                                        t_up, t_que, t_exe, total, revenue))
 
     # One slot of FIFO service drains each queue.
     drained = frequency * slot_duration
-    for q in next_state.queues:
-        q.pending_work = max(0.0, q.pending_work - drained)
+    for q, work in zip(next_state.queues, pending):
+        q.pending_work = max(0.0, work - drained)
 
     next_state.tasks = []
     next_state.short_slot += 1

@@ -2,7 +2,7 @@
 
 CLI exit-code mapping: ConfigError and CheckpointError -> 2,
 InfeasibleSliceError -> 3, DivergenceError -> 4, OSError while writing
-outputs -> 5.
+outputs -> 5, ConstraintViolation -> 6.
 """
 
 

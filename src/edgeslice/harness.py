@@ -246,29 +246,31 @@ def run(config: Config, policy_tag: str, seed: int, agent_bundle=None,
                 state.tasks = scenario.tasks[i][h - 1][t - 1]
                 action = policy(state).projected()
                 pending_before = sum(q.pending_work for q in state.queues)
-                if action.bw_fraction.sum() > 1.0 + 1e-9:
+                committed = float(action.bw_fraction.sum())
+                if committed > 1.0 + 1e-9:
                     report_out.violations += 1
-                served_mask = action.bw_fraction > 0
-                if np.any(action.vm_index[served_mask] >= state.vm_count) or \
-                        np.any(action.vm_index[served_mask] < 0):
+                served_vms = action.vm_index[action.bw_fraction > 0]
+                if served_vms.size and (served_vms.max() >= state.vm_count
+                                        or served_vms.min() < 0):
                     report_out.violations += 1
                 reward, next_state, recs = step(
                     state, action, config.econ, config.radio,
                     frequency=freq, slot_duration=config.slot_duration)
                 revenue_h += reward
+                report_out.settlements.extend(recs)
+                added = 0
                 for rec in recs:
-                    report_out.settlements.append(rec)
                     if math.isfinite(rec.t_total):
                         offloaded += 1
                         if rec.revenue > 0:
                             hits += 1
+                    if rec.revenue > 0:
+                        added += state.tasks[rec.task_id].work
                     if rec.t_total < 0 or rec.t_up < 0 or rec.t_que < 0 or rec.t_exe < 0:
                         report_out.violations += 1
-                added = sum(state.tasks[rec.task_id].work
-                            for rec in recs if rec.revenue > 0)
                 capacity = state.vm_count * freq * config.slot_duration
                 vm_util_sum += min(1.0, (pending_before + added) / capacity)
-                bw_util_sum += min(1.0, float(action.bw_fraction.sum()))
+                bw_util_sum += min(1.0, committed)
                 cells += 1
                 states[i] = next_state
         report_out.rows.append(SlotMetrics(
@@ -301,6 +303,17 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
+# One settlements.csv row: the bytes _csv_text writes for a record (its
+# four ints as str, its five floats as repr; neither ever needs quoting).
+_SETTLEMENT_ROW = "%d,%d,%d,%d,%r,%r,%r,%r,%r\n"
+
+
+def _settlements_text(records) -> str:
+    row = _SETTLEMENT_ROW
+    return ",".join(SettlementRecord.CSV_HEADER) + "\n" + "".join(
+        [row % rec for rec in records])
+
+
 def report(metrics: MetricsReport, out_dir) -> dict:
     """Write metrics.csv, summary.json and settlements.csv; returns paths."""
     paths = {
@@ -314,9 +327,7 @@ def report(metrics: MetricsReport, out_dir) -> dict:
         _atomic_write(paths["metrics"], _csv_text(METRICS_HEADER, _csv_rows))
         _atomic_write(paths["summary"],
                       json.dumps(metrics.totals(), sort_keys=True, indent=2) + "\n")
-        _atomic_write(paths["settlements"],
-                      _csv_text(SettlementRecord.CSV_HEADER,
-                                [rec.as_row() for rec in metrics.settlements]))
+        _atomic_write(paths["settlements"], _settlements_text(metrics.settlements))
     except OSError as exc:
         raise OSError(f"cannot write report under {out_dir}: {exc}") from exc
     return paths

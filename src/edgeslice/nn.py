@@ -148,11 +148,12 @@ class Network:
             return out, {"pre": pre, "post": post, "squeeze": squeeze}
         return out
 
-    def backward(self, cache: dict, upstream: np.ndarray):
+    def backward(self, cache: dict, upstream: np.ndarray, *, input_grad: bool = True):
         """Exact reverse-mode gradients of forward for a cached pass.
 
         upstream is dLoss/dOutput with the output's shape.  Returns
-        (grads dict matching params, dLoss/dInput)."""
+        (grads dict matching params, dLoss/dInput); dLoss/dInput is None
+        when ``input_grad`` is false, which skips its product."""
         if cache is None:
             raise ValueError("backward requires the cache from a forward pass")
         upstream = np.asarray(upstream, dtype=float)
@@ -174,6 +175,8 @@ class Network:
                 delta = delta * activation(tag)[1](cache["pre"][i])
             grads[f"w{i}"] = cache["post"][i].T @ delta
             grads[f"b{i}"] = delta.sum(axis=0)
+            if i == 0 and not input_grad:
+                return grads, None
             w = self.params[f"w{i}"]
             # A 1-wide layer's input gradient is an outer product: each
             # entry is one exact multiply, so broadcasting skips the matmul.

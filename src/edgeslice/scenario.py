@@ -23,7 +23,8 @@ def sample_tasks(task_spec: dict, n: int, rng: np.random.Generator) -> list:
 
     Consumes the generator exactly as per-task ``uniform`` (data size,
     density), ``choice(p=...)`` (priority) and ``uniform`` (distance) calls
-    would: four doubles per task, mapped the same way."""
+    would: four doubles per task, mapped the same way.  Raises ValueError
+    when a drawn attribute is not a finite positive number."""
     lo_d, hi_d = task_spec["data_size"]
     lo_e, hi_e = task_spec["compute_density"]
     lo_l, hi_l = task_spec["distance"]
@@ -37,16 +38,15 @@ def sample_tasks(task_spec: dict, n: int, rng: np.random.Generator) -> list:
         raise ValueError(f"priority probabilities {probs.tolist()} do not form "
                          f"a distribution over {len(priorities)} priorities")
     u = rng.random((n, 4))
-    data = (lo_d + (hi_d - lo_d) * u[:, 0]).tolist()
-    density = (lo_e + (hi_e - lo_e) * u[:, 1]).tolist()
     # Generator.choice: the first index whose normalized cdf exceeds u.
     cdf = np.cumsum(probs)
     cdf /= cdf[-1]
-    picks = cdf.searchsorted(u[:, 2], side="right").tolist()
-    distance = (lo_l + (hi_l - lo_l) * u[:, 3]).tolist()
-    return [TaskSpec(data_size=d, compute_density=e,
-                     priority=float(priorities[j]), distance=l)
-            for d, e, j, l in zip(data, density, picks, distance)]
+    picks = cdf.searchsorted(u[:, 2], side="right")
+    values = np.array([float(p) for p in priorities])
+    return TaskSpec.from_columns(lo_d + (hi_d - lo_d) * u[:, 0],
+                                 lo_e + (hi_e - lo_e) * u[:, 1],
+                                 values[picks],
+                                 lo_l + (hi_l - lo_l) * u[:, 3])
 
 
 def traffic_counts(traffic: dict, regions: int, horizon: int,
@@ -83,13 +83,19 @@ def generate_scenario(config: Config, seed: int) -> Scenario:
     rng_counts, rng_tasks = (np.random.default_rng(s) for s in ss.spawn(2))
     counts = traffic_counts(config.traffic, config.regions,
                             config.horizon, rng_counts, n_max=config.n_max)
+    # One draw for the whole scenario, in region, long-slot, short-slot
+    # order: the same doubles per-slot draws would consume.
+    slots = config.short_slots
+    drawn = sample_tasks(config.tasks, slots * int(counts.sum()), rng_tasks)
     tasks = []
+    start = 0
     for i in range(config.regions):
         per_region = []
         for h in range(config.horizon):
-            per_slot = [sample_tasks(config.tasks, int(counts[i, h]), rng_tasks)
-                        for _ in range(config.short_slots)]
-            per_region.append(per_slot)
+            size = int(counts[i, h])
+            per_region.append([drawn[start + t * size:start + (t + 1) * size]
+                               for t in range(slots)])
+            start += slots * size
         tasks.append(per_region)
     return Scenario(counts=counts, tasks=tasks)
 

@@ -445,6 +445,19 @@ class TestSharedFeatures:
             pa, pb = getattr(a, name).params, getattr(b, name).params
             assert all(np.array_equal(pa[k], pb[k]) for k in pa)
 
+    def test_critic_backward_without_action_gradient(self):
+        agent = default_agent(np.random.default_rng(56))
+        batch = make_batch(12, np.random.default_rng(57))
+        d_values = np.random.default_rng(58).normal(size=12)
+        results = []
+        for action_grad in (True, False):
+            _, cache = agent.critic1.forward(batch[0], batch[1], return_cache=True)
+            results.append(agent.critic1.backward(cache, d_values,
+                                                  action_grad=action_grad))
+        (grads, d_actions), (skipped, none) = results
+        assert none is None and d_actions.shape == batch[1].shape
+        assert all(np.array_equal(grads[k], skipped[k]) for k in grads)
+
     def test_distill_bits(self):
         batch = make_batch(12, np.random.default_rng(48))
         peer = default_agent(np.random.default_rng(49))

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from edgeslice import agent
+from edgeslice.baselines import greedy_policy, minimal_bandwidth
 from edgeslice.env import (AllocationAction, EconParams, RadioParams,
                            RegionCatalog, RegionState, ResourceCatalog,
                            SliceDecision, TaskSpec, VmQueueState,
@@ -231,6 +233,165 @@ class TestStep:
         assert all(q1.pending_work == q2.pending_work
                    for q1, q2 in zip(out1[1].queues, out2[1].queues))
         assert out1[2] == out2[2]
+
+
+def reference_step(state, action, econ, radio, frequency, slot_duration):
+    """Scalar settlement of one slot, task by task, through task_timing and
+    settle on fresh copies of the tasks (no reused efficiencies)."""
+    action = action.projected()
+    queues = [VmQueueState(q.pending_work) for q in state.queues]
+    records, reward = [], 0.0
+    for j, task in enumerate(state.tasks):
+        key = (state.region, state.long_slot, state.short_slot, j)
+        frac = float(action.bw_fraction[j])
+        if frac <= 0.0:
+            records.append(key + (math.inf, 0.0, 0.0, math.inf, 0.0))
+            continue
+        vm = int(action.vm_index[j])
+        fresh = TaskSpec(task.data_size, task.compute_density, task.priority,
+                         task.distance)
+        timing = task_timing(fresh, frac * state.bandwidth, queues[vm], frequency, radio)
+        revenue = settle(timing, econ, task.priority)
+        if revenue > 0.0:
+            queues[vm].pending_work += task.work
+        reward += revenue
+        records.append(key + (timing.upload, timing.queue, timing.execute,
+                              timing.total, revenue))
+    pending = [max(0.0, q.pending_work - frequency * slot_duration) for q in queues]
+    return reward, pending, records
+
+
+class TestStepBits:
+    """step settles every task with the bits of task_timing + settle."""
+
+    RADIO = RadioParams()
+
+    def instance(self, rng):
+        n = int(rng.integers(1, 13))
+        vm_count = int(rng.integers(1, 4))
+        tasks = [TaskSpec(rng.uniform(1e5, 1e6), rng.uniform(50, 500),
+                          float(rng.choice([1.0, 2.0, 3.0])), rng.uniform(10, 100))
+                 for _ in range(n)]
+        state = RegionState(region=int(rng.integers(0, 3)),
+                            bandwidth=rng.uniform(5e6, 2e7), vm_count=vm_count,
+                            tasks=tasks,
+                            queues=[VmQueueState(rng.uniform(0, 3e8))
+                                    for _ in range(vm_count)],
+                            long_slot=int(rng.integers(1, 5)),
+                            short_slot=int(rng.integers(1, 5)))
+        fractions = rng.uniform(0.0, 0.4, size=n)
+        fractions[rng.uniform(size=n) < 0.3] = 0.0  # rejected tasks
+        # Few VMs for many tasks: most VMs serve several tasks in one slot.
+        action = AllocationAction(fractions, rng.integers(0, vm_count, size=n))
+        return state, action
+
+    def check(self, state, action, econ, frequency=1e9, slot_duration=0.5):
+        ref_reward, ref_pending, ref_records = reference_step(
+            state, action, econ, self.RADIO, frequency, slot_duration)
+        reward, nxt, records = step(state, action, econ, self.RADIO,
+                                    frequency=frequency, slot_duration=slot_duration)
+        assert [tuple(r) for r in records] == ref_records
+        assert reward == ref_reward
+        assert [q.pending_work for q in nxt.queues] == ref_pending
+        assert nxt.short_slot == state.short_slot + 1 and nxt.tasks == []
+        return records
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_instances(self, seed):
+        rng = np.random.default_rng(seed)
+        state, action = self.instance(rng)
+        self.check(state, action, EconParams(10.0, float(rng.uniform(0.3, 1.5))))
+
+    def test_completion_exactly_at_deadline_pays(self):
+        rng = np.random.default_rng(99)
+        state, action = self.instance(rng)
+        fractions = action.bw_fraction
+        fractions[0] = 0.2
+        fractions[1:] *= 0.5 / max(fractions[1:].sum(), 1.0)  # no projection
+        vm = int(action.vm_index[0])
+        # The first task sees only its VM's initial backlog: use its exact
+        # total as the deadline.
+        timing = task_timing(state.tasks[0], 0.2 * state.bandwidth,
+                             state.queues[vm], 1e9, self.RADIO)
+        records = self.check(state, action, EconParams(10.0, timing.total))
+        assert records[0].t_total == timing.total
+        assert records[0].revenue == 10.0 * state.tasks[0].priority
+
+
+class TestSpectralEfficiencyReuse:
+    def counting(self, monkeypatch):
+        calls = []
+        original = RadioParams.spectral_efficiency
+
+        def counted(radio, distance):
+            calls.append(distance)
+            return original(radio, distance)
+        monkeypatch.setattr(RadioParams, "spectral_efficiency", counted)
+        return calls
+
+    def test_reused_value_has_scalar_bits(self, monkeypatch):
+        radio = RadioParams()
+        tasks = [TaskSpec(2e5, 100.0, 1.0, d) for d in (3.0, 17.5, 250.0)]
+        expected = [radio.spectral_efficiency(t.distance) for t in tasks]
+        calls = self.counting(monkeypatch)
+        for _ in range(3):
+            assert [t.spectral_efficiency(radio) for t in tasks] == expected
+        assert len(calls) == len(tasks)
+
+    def test_recomputed_under_other_radio(self, monkeypatch):
+        first, second = RadioParams(), RadioParams(upload_power=0.5)
+        task = TaskSpec(2e5, 100.0, 1.0, 40.0)
+        e1, e2 = first.spectral_efficiency(40.0), second.spectral_efficiency(40.0)
+        assert e1 != e2
+        calls = self.counting(monkeypatch)
+        assert task.spectral_efficiency(first) == e1
+        assert task.spectral_efficiency(first) == e1
+        assert len(calls) == 1
+        assert task.spectral_efficiency(second) == e2
+        assert len(calls) == 2
+
+    def test_policy_step_and_encoding_share_one_evaluation(self, monkeypatch):
+        radio, econ = RadioParams(), EconParams(10.0, 1.0)
+        rng = np.random.default_rng(5)
+        tasks = [TaskSpec(rng.uniform(1e5, 5e5), rng.uniform(50, 200), 1.0,
+                          rng.uniform(10, 100)) for _ in range(6)]
+        state = make_region(tasks, bandwidth=2e7)
+        calls = self.counting(monkeypatch)
+        action = greedy_policy(state, radio, econ)
+        step(state, action, econ, radio)
+        agent.encode_state(state, radio, econ, n_max=8)
+        minimal_bandwidth(tasks[0], 0.0, 1e9, radio, econ)
+        assert len(calls) == len(tasks)
+
+
+class TestTaskColumns:
+    FIELDS = ("data_size", "compute_density", "priority", "distance")
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_batch_rejects_what_the_constructor_rejects(self, field, bad):
+        values = dict.fromkeys(self.FIELDS, 2.0)
+        values[field] = bad
+        with pytest.raises(ValueError, match=field):
+            TaskSpec(**values)
+        columns = {name: np.array([2.0, value, 3.0]) for name, value in values.items()}
+        with pytest.raises(ValueError, match=field):
+            TaskSpec.from_columns(**columns)
+
+    def test_batch_rejects_non_numbers(self):
+        with pytest.raises(ValueError, match="data_size"):
+            TaskSpec(data_size=2.0 + 1.0j, compute_density=1.0, priority=1.0,
+                     distance=1.0)
+        with pytest.raises(ValueError, match="data_size"):
+            TaskSpec.from_columns(np.array([2.0 + 1.0j]), np.ones(1), np.ones(1),
+                                  np.ones(1))
+
+    def test_batch_equals_constructed_tasks(self):
+        rng = np.random.default_rng(3)
+        columns = [rng.uniform(1.0, 10.0, size=5) for _ in self.FIELDS]
+        tasks = TaskSpec.from_columns(*columns)
+        assert tasks == [TaskSpec(*row) for row in zip(*(c.tolist() for c in columns))]
+        assert [t.work for t in tasks] == [d * e for d, e in zip(columns[0], columns[1])]
 
 
 class TestHorizonProfit:

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from edgeslice import agent, checkpoint, harness
+from edgeslice import agent, checkpoint, harness, scenario
 from edgeslice.cli import main as cli_main
 from edgeslice.config import DEFAULT_CONFIG, build_config, load_config
-from edgeslice.env import TaskSpec, horizon_profit
-from edgeslice.errors import CheckpointError, ConfigError
+from edgeslice.env import SettlementRecord, TaskSpec, horizon_profit
+from edgeslice.errors import CheckpointError, ConfigError, ConstraintViolation
 from edgeslice.scenario import generate_scenario, sample_tasks, traffic_counts
 
 
@@ -98,6 +98,20 @@ class TestSampleTasks:
         assert sample_tasks(spec, n, fast) == self.scalar_reference(spec, n, slow)
         assert fast.random() == slow.random()
 
+    @pytest.mark.parametrize("override", [
+        {"data_size": (0.0, 0.0)},
+        {"compute_density": (-3.0, -1.0)},
+        {"distance": (1.0, float("inf"))},
+        {"data_size": (float("inf"), float("inf"))},
+        {"data_size": (1.0 + 1.0j, 2.0 + 1.0j)},
+        {"priorities": (1.0, -2.0, 3.0), "priority_probs": (0.0, 1.0, 0.0)},
+        {"priorities": (0.0, 2.0, 3.0), "priority_probs": (1.0, 0.0, 0.0)},
+    ])
+    def test_bad_task_ranges_rejected(self, override):
+        spec = dict(build_config({}).tasks, **override)
+        with pytest.raises(ValueError):
+            sample_tasks(spec, 8, np.random.default_rng(0))
+
     @pytest.mark.parametrize("probs", [(0.5, 0.6, -0.1), (0.2, 0.2, 0.2),
                                        (0.5, 0.5), (float("nan"), 0.5, 0.5)])
     def test_bad_probabilities_rejected(self, probs):
@@ -121,6 +135,37 @@ class TestGenerateScenario:
         t1 = s1.tasks[0][0][0]
         t2 = s2.tasks[0][0][0]
         assert [t.data_size for t in t1] == [t.data_size for t in t2]
+
+    @pytest.mark.parametrize("doc,empty_slots", [
+        (small_doc(), False),
+        (small_doc(horizon=6, short_slots=4, regions=3,
+                   traffic={"base": 1.0, "amplitude": 2.0, "noise_std": 1.0}), True),
+    ])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_one_draw_equals_per_slot_draws(self, monkeypatch, doc, empty_slots, seed):
+        cfg = build_config(doc)
+        used = []
+        draw = scenario.sample_tasks
+
+        def recorded(spec, n, rng):
+            used.append(rng)
+            return draw(spec, n, rng)
+        monkeypatch.setattr(scenario, "sample_tasks", recorded)
+        batched = generate_scenario(cfg, seed)
+        monkeypatch.undo()
+        # The per-slot loop, with the generators generate_scenario makes.
+        ss = np.random.SeedSequence([seed, 0x5ce])
+        _, rng_tasks = (np.random.default_rng(s) for s in ss.spawn(2))
+        assert np.any(batched.counts == 0) == empty_slots
+        for i in range(cfg.regions):
+            for h in range(cfg.horizon):
+                for t in range(cfg.short_slots):
+                    expected = sample_tasks(cfg.tasks, int(batched.counts[i, h]),
+                                            rng_tasks)
+                    assert batched.tasks[i][h][t] == expected
+                    assert [task.work for task in batched.tasks[i][h][t]] == \
+                        [task.work for task in expected]
+        assert used[-1].bit_generator.state == rng_tasks.bit_generator.state
 
     def test_counts_match_batch_sizes(self):
         cfg = build_config(small_doc())
@@ -251,6 +296,16 @@ class TestReport:
             sum(float(r["profit"]) for r in rows))
         assert summary["offloaded"] == sum(int(r["offloaded"]) for r in rows)
 
+
+    def test_settlement_rows_match_csv_writer(self):
+        rows = [SettlementRecord(0, 1, 1, 0, float("inf"), 0.0, 0.0, float("inf"), 0.0),
+                SettlementRecord(2, 20, 10, 2 ** 40, 1e-05, 1.5e+20, 0.1 + 0.2,
+                                 1.5e+20, 30.0),
+                SettlementRecord(1, 3, 7, 12345678901234567890, 5e-324, -0.0,
+                                 1.7976931348623157e+308, 0.30000000000000004, 10.0)]
+        for records in ([], rows):
+            assert harness._settlements_text(records) == harness._csv_text(
+                SettlementRecord.CSV_HEADER, [r.as_row() for r in records])
 
     def test_uncreatable_directory_raises_oserror(self, tmp_path):
         blocker = tmp_path / "file"
@@ -473,6 +528,19 @@ class TestCli:
         result = CliRunner().invoke(cli_main, args + ["--config", config_path] + out)
         assert result.exit_code == 2, result.output
         assert "error:" in result.output and "seed" in result.output
+
+    def test_constraint_violation_exit_code_6(self, tmp_path, monkeypatch):
+        def broken_run(*args, **kwargs):
+            raise ConstraintViolation("task 0 assigned to VM 7 outside the 2 rented VMs")
+        monkeypatch.setattr(harness, "run", broken_run)
+        config_path = write_config(tmp_path, small_doc())
+        result = CliRunner().invoke(cli_main, [
+            "run", "--config", config_path, "--policy", "greedy",
+            "--out", str(tmp_path / "out")])
+        assert result.exit_code == 6, result.output
+        assert ("error: constraint violated: task 0 assigned to VM 7"
+                in result.output)
+        assert "Traceback" not in result.output
 
     def test_uncreatable_out_exit_code_5(self, tmp_path):
         config_path = write_config(tmp_path, small_doc())

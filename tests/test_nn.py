@@ -176,6 +176,20 @@ class TestKernelBits:
         assert np.array_equal(dx, dx_ref)
         assert np.array_equal(upstream, upstream_before)  # caller's array kept
 
+    @pytest.mark.parametrize("act", ALL_ACTIVATIONS)
+    def test_skipped_input_gradient_keeps_parameter_bits(self, act):
+        rng = np.random.default_rng(34)
+        net = random_net(rng, dims=[5, 7, 1], acts=[act, act])
+        x = rng.normal(size=(20, 5))
+        upstream = rng.normal(size=(20, 1))
+        _, cache = net.forward(x, return_cache=True)
+        grads, dx = net.backward(cache, upstream)
+        _, cache = net.forward(x, return_cache=True)
+        skipped, none = net.backward(cache, upstream, input_grad=False)
+        assert none is None and dx is not None
+        assert grads.keys() == skipped.keys()
+        assert all(np.array_equal(grads[k], skipped[k]) for k in grads)
+
     def test_backward_leaves_single_row_upstream_untouched(self):
         rng = np.random.default_rng(32)
         net = random_net(rng, dims=[3, 4, 2], acts=["relu", "relu"])
