@@ -4,16 +4,16 @@ small-instance oracles."""
 
 from .env import (AllocationAction, EconParams, RadioParams, RegionCatalog,
                   RegionState, ResourceCatalog, SliceDecision, TaskSpec,
-                  TimingBreakdown, VmQueueState, horizon_profit, rented_and_cost,
-                  settle, step, task_timing, uplink_rate)
+                  TimingBreakdown, horizon_profit, rented_and_cost, settle,
+                  step, task_timing, uplink_rate)
 from .errors import (ConfigError, ConstraintViolation, DivergenceError,
                      EdgesliceError, InfeasibleSliceError, InfeasibleUploadError)
 
 __all__ = [
     "AllocationAction", "EconParams", "RadioParams", "RegionCatalog",
     "RegionState", "ResourceCatalog", "SliceDecision", "TaskSpec",
-    "TimingBreakdown", "VmQueueState", "horizon_profit", "rented_and_cost",
-    "settle", "step", "task_timing", "uplink_rate",
+    "TimingBreakdown", "horizon_profit", "rented_and_cost", "settle",
+    "step", "task_timing", "uplink_rate",
     "ConfigError", "ConstraintViolation", "DivergenceError", "EdgesliceError",
     "InfeasibleSliceError", "InfeasibleUploadError",
 ]

@@ -182,7 +182,7 @@ class _TaskBlock:
     execution-time share of the deadline into bandwidth-need features."""
 
     def __init__(self, net: Network, n_max: int, state_scale: np.ndarray,
-                 frequency: float = 1e9):
+                 frequency: float):
         self.net = net
         self.n_max = n_max
         self.state_scale = np.asarray(state_scale, dtype=float)
@@ -387,10 +387,9 @@ class AgentBundle:
     distill_alpha: float = 1.0
 
 
-def make_agent(n_max: int, state_scale: np.ndarray, hidden=(64, 64),
-               rng: np.random.Generator | None = None,
-               noise_scale: float = 0.3, distill_alpha: float = 1.0,
-               frequency: float = 1e9) -> AgentBundle:
+def make_agent(n_max: int, state_scale: np.ndarray, frequency: float,
+               hidden=(64, 64), rng: np.random.Generator | None = None,
+               noise_scale: float = 0.3, distill_alpha: float = 1.0) -> AgentBundle:
     rng = rng if rng is not None else np.random.default_rng(0)
     scale = np.asarray(state_scale, dtype=float)
     actor_acts = ("relu",) * len(hidden) + ("sigmoid",)
@@ -589,6 +588,7 @@ def load_agent(path) -> AgentBundle:
     try:
         scale = arrays["state_scale"]
         n_max = meta["n_max"]
+        frequency = meta["frequency"]
         wrappers = {}
         for net_name in _NETS:
             spec = meta["nets"][net_name]
@@ -600,8 +600,7 @@ def load_agent(path) -> AgentBundle:
                         raise KeyError(f"{net_name}.{kind}{i}")
             net = Network(tuple(spec["dims"]), tuple(spec["activations"]), params)
             wrapper_cls = TaskBlockActor if "actor" in net_name else TaskBlockCritic
-            wrappers[net_name] = wrapper_cls(net, n_max, scale,
-                                             meta.get("frequency", 1e9))
+            wrappers[net_name] = wrapper_cls(net, n_max, scale, frequency)
         return AgentBundle(
             state_scale=scale, n_max=n_max,
             noise_scale=meta["noise_scale"], step_count=meta["step_count"],
@@ -665,7 +664,7 @@ def train(env_current, env_peer, hp: AgentHyperparams, n_max: int,
     """
     ss = np.random.SeedSequence(seed)
     keys = [np.random.default_rng(s) for s in ss.spawn(8)]
-    frequency = float(getattr(env_current, "vm_frequency", 1e9))
+    frequency = env_current.vm_frequency
     sides = []
     for idx, env in enumerate((env_current, env_peer)):
         agent = make_agent(n_max, state_scale, hidden=tuple(hp.hidden),

@@ -41,7 +41,7 @@ def minimal_bandwidth(task, queue_ahead: float, frequency: float,
     return rate / task.spectral_efficiency(radio) * (1.0 + _SAFETY)
 
 
-def _exact_allocation(region: RegionState, chosen: dict, radio, econ, frequency):
+def _exact_allocation(region: RegionState, chosen: dict, radio, econ):
     """List-order bandwidths for a {task index: vm} plan.
 
     Returns (ok, fractions, vm_indices); ok is False when some chosen task
@@ -50,13 +50,14 @@ def _exact_allocation(region: RegionState, chosen: dict, radio, econ, frequency)
     n = len(region.tasks)
     fractions = np.zeros(n)
     vms = np.zeros(n, dtype=int)
-    pending = [q.pending_work for q in region.queues]
+    pending = list(region.pending)
     used = 0.0
     for j in range(n):
         if j not in chosen:
             continue
         vm = chosen[j]
-        bw = minimal_bandwidth(region.tasks[j], pending[vm], frequency, radio, econ)
+        bw = minimal_bandwidth(region.tasks[j], pending[vm], region.frequency,
+                               radio, econ)
         if not math.isfinite(bw):
             return False, fractions, vms
         used += bw
@@ -68,17 +69,18 @@ def _exact_allocation(region: RegionState, chosen: dict, radio, econ, frequency)
     return True, fractions, vms
 
 
-def _pack_by_order(region: RegionState, order, radio, econ, frequency) -> AllocationAction:
-    """Tentatively admit tasks in preference order onto least-loaded VMs,
-    then finalize with the exact list-order pass."""
+def _pack_by_order(region: RegionState, order, radio, econ) -> AllocationAction:
+    """Tentatively admit tasks in preference order onto least-loaded VMs
+    (ties: lowest index), then finalize with the exact list-order pass."""
     n = len(region.tasks)
+    frequency = region.frequency
     chosen: dict = {}
     rank: dict = {}
-    pending = [q.pending_work for q in region.queues]
+    pending = list(region.pending)
     used = 0.0
     for pos, j in enumerate(order):
         task = region.tasks[j]
-        vm = min(range(region.vm_count), key=lambda m: (pending[m], m))
+        vm = pending.index(min(pending))
         bw = minimal_bandwidth(task, pending[vm], frequency, radio, econ)
         if math.isfinite(bw) and used + bw <= region.bandwidth * (1.0 + 1e-12):
             chosen[j] = vm
@@ -86,7 +88,7 @@ def _pack_by_order(region: RegionState, order, radio, econ, frequency) -> Alloca
             used += bw
             pending[vm] += task.work
     while chosen:
-        ok, fractions, vms = _exact_allocation(region, chosen, radio, econ, frequency)
+        ok, fractions, vms = _exact_allocation(region, chosen, radio, econ)
         if ok:
             return AllocationAction(bw_fraction=fractions, vm_index=vms)
         del chosen[max(chosen, key=lambda j: rank[j])]
@@ -102,31 +104,34 @@ def _demand_score(task, frequency, radio, econ) -> float:
     return bw + task.work / (frequency * econ.deadline)
 
 
-def greedy_policy(region: RegionState, radio: RadioParams, econ: EconParams,
-                  frequency: float = 1e9) -> AllocationAction:
+def greedy_policy(region: RegionState, radio: RadioParams,
+                  econ: EconParams) -> AllocationAction:
     """Serve by priority (ties: lighter work first, then task id)."""
     order = sorted(range(len(region.tasks)),
                    key=lambda j: (-region.tasks[j].priority, region.tasks[j].work, j))
-    return _pack_by_order(region, order, radio, econ, frequency)
+    return _pack_by_order(region, order, radio, econ)
 
 
-def max_transaction_policy(region: RegionState, radio: RadioParams, econ: EconParams,
-                           frequency: float = 1e9) -> AllocationAction:
+def max_transaction_policy(region: RegionState, radio: RadioParams,
+                           econ: EconParams) -> AllocationAction:
     """Serve cheapest-demand first, maximizing the admitted count."""
+    frequency = region.frequency
     order = sorted(range(len(region.tasks)),
                    key=lambda j: (_demand_score(region.tasks[j], frequency, radio, econ), j))
-    return _pack_by_order(region, order, radio, econ, frequency)
+    return _pack_by_order(region, order, radio, econ)
 
 
-def auction_policy(region: RegionState, radio: RadioParams, econ: EconParams,
-                   frequency: float = 1e9) -> AllocationAction:
+def auction_policy(region: RegionState, radio: RadioParams,
+                   econ: EconParams) -> AllocationAction:
     """Serve by bid = priority / resource demand, descending."""
+    frequency = region.frequency
+
     def bid(j):
         score = _demand_score(region.tasks[j], frequency, radio, econ)
         return region.tasks[j].priority / score if math.isfinite(score) else 0.0
     order = sorted(range(len(region.tasks)),
                    key=lambda j: (-bid(j), -region.tasks[j].priority, j))
-    return _pack_by_order(region, order, radio, econ, frequency)
+    return _pack_by_order(region, order, radio, econ)
 
 
 def random_policy(region: RegionState, rng: np.random.Generator) -> AllocationAction:
@@ -141,26 +146,33 @@ def random_policy(region: RegionState, rng: np.random.Generator) -> AllocationAc
 # Exact oracles
 # ---------------------------------------------------------------------------
 
-def brute_force_offload(tasks, vm_count: int, bandwidth: float,
-                        radio: RadioParams, econ: EconParams,
-                        frequency: float = 1e9, initial_pending=None):
+def oracle_policy(region: RegionState, radio: RadioParams,
+                  econ: EconParams) -> AllocationAction:
+    """Serve `brute_force_offload`'s best assignment with the shared
+    list-order minimal bandwidths."""
+    _, assignment = brute_force_offload(region, radio, econ)
+    chosen = {j: vm for j, vm in enumerate(assignment) if vm is not None}
+    _, fractions, vms = _exact_allocation(region, chosen, radio, econ)
+    return AllocationAction(bw_fraction=fractions, vm_index=vms)
+
+
+def brute_force_offload(region: RegionState, radio: RadioParams, econ: EconParams):
     """Exhaustive max-revenue subset selection and VM packing.
 
     Enumerates, in arrival-list order, every served-subset / VM-assignment
-    combination under the shared minimal-bandwidth rule, with branch-and-
-    bound pruning and symmetry breaking over equally loaded VMs.  Instances
-    above ENUMERATION_BOUND tasks are refused.
+    combination of the region's tasks under the shared minimal-bandwidth
+    rule, starting from the region's backlog, with branch-and-bound pruning
+    and symmetry breaking over equally loaded VMs.  Instances above
+    ENUMERATION_BOUND tasks are refused.
 
     Returns (best revenue, assignment) where assignment[j] is the serving VM
     or None for rejected tasks.
     """
+    tasks, vm_count, frequency = region.tasks, region.vm_count, region.frequency
     n = len(tasks)
     if n > ENUMERATION_BOUND:
         raise ValueError(
             f"brute_force_offload enumerates at most {ENUMERATION_BOUND} tasks, got {n}")
-    pending0 = list(initial_pending) if initial_pending is not None else [0.0] * vm_count
-    if len(pending0) != vm_count:
-        raise ValueError("initial_pending must list one backlog per VM")
     suffix = [0.0] * (n + 1)
     for j in reversed(range(n)):
         suffix[j] = suffix[j + 1] + econ.reward_per_task * tasks[j].priority
@@ -168,7 +180,7 @@ def brute_force_offload(tasks, vm_count: int, bandwidth: float,
     best_rev = -1.0
     best_assign = [None] * n
     assign = [None] * n
-    budget = bandwidth * (1.0 + 1e-12)
+    budget = region.bandwidth * (1.0 + 1e-12)
 
     def recurse(j, pending, used, revenue):
         nonlocal best_rev, best_assign
@@ -196,7 +208,7 @@ def brute_force_offload(tasks, vm_count: int, bandwidth: float,
                 assign[j] = None
         recurse(j + 1, pending, used, revenue)
 
-    recurse(0, pending0, 0.0, 0.0)
+    recurse(0, list(region.pending), 0.0, 0.0)
     return max(best_rev, 0.0), best_assign
 
 

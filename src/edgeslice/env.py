@@ -11,7 +11,7 @@ float "currency unit".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -180,42 +180,29 @@ class SliceDecision:
 
 
 @dataclass
-class VmQueueState:
-    """Backlog of one VM: CPU cycles still queued in front of new arrivals."""
-
-    pending_work: float = 0.0
-
-    def __post_init__(self):
-        require_nonnegative("pending_work", self.pending_work)
-
-
-@dataclass
 class RegionState:
-    """Mutable per-region snapshot between short slots."""
+    """Per-region snapshot between short slots: the rented service (uplink
+    bandwidth, VMs and the rate they all run at) and each VM's backlog."""
 
     region: int
     bandwidth: float            # rented uplink Hz in this region
     vm_count: int               # rented VMs in this region
+    frequency: float            # cycles/s of every VM (RegionCatalog.vm_frequency)
     tasks: list                 # TaskSpec batch for the current short slot
-    queues: list                # VmQueueState per rented VM
+    pending: tuple              # per VM, CPU cycles queued in front of new arrivals
     long_slot: int = 1
     short_slot: int = 1
 
     def __post_init__(self):
-        if len(self.queues) != self.vm_count:
+        require_positive("frequency", self.frequency)
+        if len(self.pending) != self.vm_count:
             raise ValueError(
-                f"queue list length {len(self.queues)} != vm_count {self.vm_count}")
+                f"backlog length {len(self.pending)} != vm_count {self.vm_count}")
+        for work in self.pending:
+            require_nonnegative("pending", work)
 
     def copy(self) -> "RegionState":
-        return RegionState(
-            region=self.region,
-            bandwidth=self.bandwidth,
-            vm_count=self.vm_count,
-            tasks=list(self.tasks),
-            queues=[VmQueueState(q.pending_work) for q in self.queues],
-            long_slot=self.long_slot,
-            short_slot=self.short_slot,
-        )
+        return replace(self, tasks=list(self.tasks))
 
 
 @dataclass
@@ -315,17 +302,19 @@ def _revenue(total: float, econ: EconParams, priority: float) -> float:
     return 0.0
 
 
-def task_timing(task: TaskSpec, bw: float, queue: VmQueueState,
+def task_timing(task: TaskSpec, bw: float, pending: float,
                 frequency: float, radio: RadioParams) -> TimingBreakdown:
     """Upload + queueing + execution time of one task on its assigned VM.
 
     Result-return time is zero by model.  The queue contribution is the
-    backlog already in front of the task divided by the VM frequency.
+    ``pending`` cycles already in front of the task divided by the VM
+    frequency.
     """
+    require_nonnegative("pending", pending)
     require_positive("frequency", frequency)
     _require_share(task, bw)
     return TimingBreakdown(*_timing(task, bw, task.spectral_efficiency(radio),
-                                    queue.pending_work, frequency))
+                                    pending, frequency))
 
 
 def settle(timing: TimingBreakdown, econ: EconParams, priority: float) -> float:
@@ -368,7 +357,7 @@ def rented_in_region(catalog: ResourceCatalog, slices: SliceDecision, region: in
 
 
 def step(state: RegionState, action: AllocationAction, econ: EconParams,
-         radio: RadioParams, frequency: float = 1e9, slot_duration: float = 1.0):
+         radio: RadioParams, slot_duration: float = 1.0):
     """Advance one region by one short slot under an allocation action.
 
     Tasks are processed in arrival-list order; each sees the backlog of
@@ -391,16 +380,14 @@ def step(state: RegionState, action: AllocationAction, econ: EconParams,
             f"task {j} assigned to VM {action.vm_index[j]} outside the "
             f"{state.vm_count} rented VMs")
     bandwidth = state.bandwidth
-    if served.any():
-        # task_timing's checks, once per slot.  Projected fractions lie in
-        # [0, 1], so a positive share is infinite only when the rented
+    if served.any() and bandwidth > 0.0:
+        # task_timing's share check, once per slot.  Projected fractions lie
+        # in [0, 1], so a positive share is infinite only when the rented
         # bandwidth is; shares that are not positive still raise per task.
-        require_positive("frequency", frequency)
-        if bandwidth > 0.0:
-            require_finite("bw", bandwidth)
+        require_finite("bw", bandwidth)
 
-    next_state = state.copy()
-    pending = [q.pending_work for q in next_state.queues]
+    frequency = state.frequency
+    pending = list(state.pending)
     region, long_slot, short_slot = state.region, state.long_slot, state.short_slot
     records = []
     reward = 0.0
@@ -424,11 +411,8 @@ def step(state: RegionState, action: AllocationAction, econ: EconParams,
 
     # One slot of FIFO service drains each queue.
     drained = frequency * slot_duration
-    for q, work in zip(next_state.queues, pending):
-        q.pending_work = max(0.0, work - drained)
-
-    next_state.tasks = []
-    next_state.short_slot += 1
+    next_state = replace(state, tasks=[], short_slot=short_slot + 1,
+                         pending=tuple(max(0.0, work - drained) for work in pending))
     return reward, next_state, records
 
 

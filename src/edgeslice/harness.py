@@ -21,9 +21,8 @@ import numpy as np
 from . import agent as agent_mod
 from . import baselines, slicing
 from .config import Config
-from .env import (AllocationAction, RegionCatalog, RegionState, ResourceCatalog,
-                  SettlementRecord, VmQueueState, rented_and_cost,
-                  rented_in_region, step)
+from .env import (RegionCatalog, RegionState, ResourceCatalog, SettlementRecord,
+                  rented_and_cost, rented_in_region, step)
 from .errors import ConfigError
 from .forecasting import ForecastModel, TrafficSeries, baseline_forecast, fit, forecast
 from .scenario import InstanceFamily, OffloadEnv, generate_scenario, traffic_counts
@@ -114,29 +113,16 @@ def make_policy(tag: str, config: Config, rng: np.random.Generator,
 
     With a peer bundle, ``sliceoff`` follows the hybrid policy: per state,
     the agent whose twin critics value its own action higher."""
-    freq = config.vm_frequency
-    if tag == "greedy":
-        return partial(baselines.greedy_policy, radio=config.radio,
-                       econ=config.econ, frequency=freq)
-    if tag == "max_transaction":
-        return partial(baselines.max_transaction_policy, radio=config.radio,
-                       econ=config.econ, frequency=freq)
-    if tag == "auction":
-        return partial(baselines.auction_policy, radio=config.radio,
-                       econ=config.econ, frequency=freq)
+    # Read at call time, not import time, so wrapped module attributes
+    # (perfbench's tracer) take effect.
+    packers = {"greedy": baselines.greedy_policy,
+               "max_transaction": baselines.max_transaction_policy,
+               "auction": baselines.auction_policy,
+               "oracle": baselines.oracle_policy}
+    if tag in packers:
+        return partial(packers[tag], radio=config.radio, econ=config.econ)
     if tag == "random":
-        return lambda region: baselines.random_policy(region, rng)
-    if tag == "oracle":
-        def oracle_policy(region: RegionState):
-            _, assignment = baselines.brute_force_offload(
-                region.tasks, region.vm_count, region.bandwidth,
-                config.radio, config.econ, frequency=freq,
-                initial_pending=[q.pending_work for q in region.queues])
-            chosen = {j: vm for j, vm in enumerate(assignment) if vm is not None}
-            _, fractions, vms = baselines._exact_allocation(
-                region, chosen, config.radio, config.econ, freq)
-            return AllocationAction(bw_fraction=fractions, vm_index=vms)
-        return oracle_policy
+        return partial(baselines.random_policy, rng=rng)
     if tag == "sliceoff":
         if agent_bundle is None:
             raise ConfigError("policy 'sliceoff' needs a trained agent checkpoint")
@@ -213,7 +199,6 @@ def run(config: Config, policy_tag: str, seed: int, agent_bundle=None,
                          peer_bundle=peer_bundle)
     predictor = make_predictor(forecaster, n_max=config.n_max)
     profile = task_profile(config)
-    freq = config.vm_frequency
 
     report_out = MetricsReport(policy=policy_tag, seed=seed)
     for h in range(1, config.horizon + 1):
@@ -232,9 +217,9 @@ def run(config: Config, policy_tag: str, seed: int, agent_bundle=None,
         for i in range(config.regions):
             bw_i, vm_i = rented_in_region(config.catalog, slices, i)
             states.append(RegionState(
-                region=i, bandwidth=bw_i, vm_count=vm_i, tasks=[],
-                queues=[VmQueueState() for _ in range(vm_i)],
-                long_slot=h, short_slot=1))
+                region=i, bandwidth=bw_i, vm_count=vm_i,
+                frequency=config.catalog.regions[i].vm_frequency, tasks=[],
+                pending=(0.0,) * vm_i, long_slot=h, short_slot=1))
 
         revenue_h = 0.0
         offloaded = hits = 0
@@ -245,7 +230,7 @@ def run(config: Config, policy_tag: str, seed: int, agent_bundle=None,
                 state = states[i]
                 state.tasks = scenario.tasks[i][h - 1][t - 1]
                 action = policy(state).projected()
-                pending_before = sum(q.pending_work for q in state.queues)
+                pending_before = sum(state.pending)
                 committed = float(action.bw_fraction.sum())
                 if committed > 1.0 + 1e-9:
                     report_out.violations += 1
@@ -255,7 +240,7 @@ def run(config: Config, policy_tag: str, seed: int, agent_bundle=None,
                     report_out.violations += 1
                 reward, next_state, recs = step(
                     state, action, config.econ, config.radio,
-                    frequency=freq, slot_duration=config.slot_duration)
+                    slot_duration=config.slot_duration)
                 revenue_h += reward
                 report_out.settlements.extend(recs)
                 added = 0
@@ -268,7 +253,7 @@ def run(config: Config, policy_tag: str, seed: int, agent_bundle=None,
                         added += state.tasks[rec.task_id].work
                     if rec.t_total < 0 or rec.t_up < 0 or rec.t_que < 0 or rec.t_exe < 0:
                         report_out.violations += 1
-                capacity = state.vm_count * freq * config.slot_duration
+                capacity = state.vm_count * state.frequency * config.slot_duration
                 vm_util_sum += min(1.0, (pending_before + added) / capacity)
                 bw_util_sum += min(1.0, committed)
                 cells += 1
@@ -391,15 +376,13 @@ def compare(config: Config, policies, seeds, out_dir, agent_bundle=None,
 def make_training_envs(config: Config, seed: int, episode_slots=None):
     """Current/peer/eval environments over the configured scenario family.
 
-    The peer explores the same family under a different stream and a
-    permuted region phase (its traffic-driven arrival mix differs)."""
+    All four share one instance family; only their seeds differ."""
     slots = episode_slots if episode_slots is not None else config.short_slots
     family = InstanceFamily.from_config(config)
-    peer_family = InstanceFamily.from_config(config)
     env_current = OffloadEnv(family, config.n_max, seed=seed * 4 + 1,
                              episode_slots=slots,
                              slot_duration=config.slot_duration)
-    env_peer = OffloadEnv(peer_family, config.n_max, seed=seed * 4 + 2,
+    env_peer = OffloadEnv(family, config.n_max, seed=seed * 4 + 2,
                           episode_slots=slots,
                           slot_duration=config.slot_duration)
     eval_current = env_current.spawn(seed * 4 + 3)
@@ -462,21 +445,18 @@ def oracle_checks(config: Config, instances: int = 25, seed: int = 0) -> list:
     """Exactness spot checks on small instances; returns (name, ok, detail)."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x0c]))
     family = InstanceFamily.from_config(config, n_range=(3, 8))
-    freq = config.vm_frequency
     results = []
 
     worst = None
     dominated = True
     for _ in range(instances):
         region = family.sample(rng)
-        best, _ = baselines.brute_force_offload(
-            region.tasks, region.vm_count, region.bandwidth, config.radio,
-            config.econ, frequency=freq)
+        best, _ = baselines.brute_force_offload(region, config.radio, config.econ)
         for policy in (baselines.greedy_policy, baselines.max_transaction_policy,
                        baselines.auction_policy):
-            action = policy(region, config.radio, config.econ, frequency=freq)
+            action = policy(region, config.radio, config.econ)
             reward, _, _ = step(region, action, config.econ, config.radio,
-                                frequency=freq, slot_duration=config.slot_duration)
+                                slot_duration=config.slot_duration)
             if reward > best + 1e-6:
                 dominated = False
                 worst = (policy.__name__, reward, best)

@@ -15,7 +15,7 @@ import numpy as np
 from . import agent as agent_mod
 from .baselines import minimal_bandwidth
 from .config import Config
-from .env import EconParams, RadioParams, RegionState, TaskSpec, VmQueueState, step
+from .env import EconParams, RadioParams, RegionState, TaskSpec, step
 
 
 def sample_tasks(task_spec: dict, n: int, rng: np.random.Generator) -> list:
@@ -130,8 +130,8 @@ class InstanceFamily:
             base = sum(t.data_size for t in tasks) / self.econ.deadline
         bandwidth = float(rng.uniform(*self.headroom)) * base
         return RegionState(region=0, bandwidth=bandwidth, vm_count=vm_count,
-                           tasks=tasks,
-                           queues=[VmQueueState() for _ in range(vm_count)])
+                           frequency=self.frequency, tasks=tasks,
+                           pending=(0.0,) * vm_count)
 
     @classmethod
     def from_config(cls, config: Config, **overrides) -> "InstanceFamily":
@@ -203,7 +203,6 @@ class OffloadEnv:
                                          self.state.vm_count, len(self.state.tasks))
         reward, next_state, _ = step(self.state, action, self.family.econ,
                                      self.family.radio,
-                                     frequency=self.family.frequency,
                                      slot_duration=self.slot_duration)
         self._slot += 1
         done = self._slot >= self.episode_slots

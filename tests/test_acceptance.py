@@ -98,7 +98,6 @@ def test_oracle_equivalence_offloading(trained_instance_agents):
     cfg, fam, current, _ = trained_instance_agents
     t0 = time.time()
     rng = np.random.default_rng(2024)
-    freq = cfg.vm_frequency
     dominance_failures = 0
     hits = 0
     total = 200
@@ -106,18 +105,14 @@ def test_oracle_equivalence_offloading(trained_instance_agents):
     policy = agent_policy(current, cfg)
     for _ in range(total):
         region = fam.sample(rng)
-        best, _ = baselines.brute_force_offload(
-            region.tasks, region.vm_count, region.bandwidth, cfg.radio,
-            cfg.econ, frequency=freq)
+        best, _ = baselines.brute_force_offload(region, cfg.radio, cfg.econ)
         for heuristic in (baselines.greedy_policy, baselines.max_transaction_policy,
                           baselines.auction_policy):
-            action = heuristic(region, cfg.radio, cfg.econ, frequency=freq)
-            reward, _, _ = env_step(region, action, cfg.econ, cfg.radio,
-                                    frequency=freq)
+            action = heuristic(region, cfg.radio, cfg.econ)
+            reward, _, _ = env_step(region, action, cfg.econ, cfg.radio)
             if reward > best + 1e-6:
                 dominance_failures += 1
-        reward, _, _ = env_step(region, policy(region), cfg.econ, cfg.radio,
-                                frequency=freq)
+        reward, _, _ = env_step(region, policy(region), cfg.econ, cfg.radio)
         ratio = reward / best if best > 0 else 1.0
         ratios.append(ratio)
         if ratio >= 0.85:

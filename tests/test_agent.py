@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from edgeslice import agent as A
-from edgeslice.env import EconParams, RadioParams, RegionState, TaskSpec, VmQueueState
+from edgeslice.env import EconParams, RadioParams, RegionState, TaskSpec
 from edgeslice.scenario import InstanceFamily, OffloadEnv
 
 RADIO = RadioParams(upload_power=3e-6, noise_power=1e-9,
@@ -16,8 +16,7 @@ N_MAX = 4
 
 def region_of(tasks, bandwidth=4e6, vm_count=2):
     return RegionState(region=0, bandwidth=bandwidth, vm_count=vm_count,
-                       tasks=tasks,
-                       queues=[VmQueueState() for _ in range(vm_count)])
+                       frequency=1e9, tasks=tasks, pending=(0.0,) * vm_count)
 
 
 def make_states(k, rng, n_max=N_MAX):

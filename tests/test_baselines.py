@@ -1,14 +1,16 @@
 """Comparator-policy and brute-force-oracle tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from edgeslice.baselines import (ENUMERATION_BOUND, auction_policy,
                                  brute_force_offload, brute_force_slicing,
                                  greedy_policy, max_transaction_policy,
-                                 minimal_bandwidth, random_policy)
+                                 minimal_bandwidth, oracle_policy, random_policy)
 from edgeslice.env import (EconParams, RadioParams, RegionCatalog, RegionState,
-                           ResourceCatalog, TaskSpec, VmQueueState, step)
+                           ResourceCatalog, TaskSpec, step)
 from edgeslice.errors import InfeasibleSliceError
 from edgeslice.slicing import DemandVector
 
@@ -20,8 +22,7 @@ FREQ = 1e9
 
 def region_with(tasks, bandwidth, vm_count=2):
     return RegionState(region=0, bandwidth=bandwidth, vm_count=vm_count,
-                       tasks=tasks,
-                       queues=[VmQueueState() for _ in range(vm_count)])
+                       frequency=FREQ, tasks=tasks, pending=(0.0,) * vm_count)
 
 
 def task(d=2e5, eta=100.0, rho=1.0, dist=1.0):
@@ -58,7 +59,7 @@ class TestMinimalBandwidth:
 class TestGreedy:
     def test_all_fit_all_served(self):
         tasks = [task(rho=r) for r in (1.0, 2.0, 3.0)]
-        action = greedy_policy(region_with(tasks, bandwidth=2e6), RADIO, ECON, FREQ)
+        action = greedy_policy(region_with(tasks, bandwidth=2e6), RADIO, ECON)
         assert served(action) == {0, 1, 2}
         assert action.bw_fraction.sum() <= 1.0 + 1e-9
 
@@ -66,7 +67,7 @@ class TestGreedy:
         need = minimal_bandwidth(task(), 0.0, FREQ, RADIO, ECON)
         tasks = [task(rho=3.0), task(rho=1.0)]
         action = greedy_policy(region_with(tasks, bandwidth=1.2 * need),
-                               RADIO, ECON, FREQ)
+                               RADIO, ECON)
         assert served(action) == {0}
 
     def test_tie_break_smaller_work_first(self):
@@ -75,15 +76,15 @@ class TestGreedy:
         need_small = minimal_bandwidth(small, 0.0, FREQ, RADIO, ECON)
         tasks = [large, small]
         action = greedy_policy(region_with(tasks, bandwidth=1.1 * need_small),
-                               RADIO, ECON, FREQ)
+                               RADIO, ECON)
         assert served(action) == {1}
 
     def test_revenue_matches_environment(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             region = random_region(rng)
-            action = greedy_policy(region, RADIO, ECON, FREQ)
-            reward, _, recs = step(region, action, ECON, RADIO, frequency=FREQ)
+            action = greedy_policy(region, RADIO, ECON)
+            reward, _, recs = step(region, action, ECON, RADIO)
             planned = sum(ECON.reward_per_task * region.tasks[j].priority
                           for j in served(action))
             assert reward == pytest.approx(planned)
@@ -93,8 +94,8 @@ class TestMaxTransaction:
     def test_uniform_demands_match_greedy_count(self):
         tasks = [task(rho=r) for r in (3.0, 1.0, 2.0)]
         region = region_with(tasks, bandwidth=2e6)
-        count_greedy = len(served(greedy_policy(region, RADIO, ECON, FREQ)))
-        count_max = len(served(max_transaction_policy(region, RADIO, ECON, FREQ)))
+        count_greedy = len(served(greedy_policy(region, RADIO, ECON)))
+        count_max = len(served(max_transaction_policy(region, RADIO, ECON)))
         assert count_max == count_greedy
 
     def test_tiny_task_preferred_over_huge(self):
@@ -102,7 +103,7 @@ class TestMaxTransaction:
         huge = task(d=9e5)
         need_tiny = minimal_bandwidth(tiny, 0.0, FREQ, RADIO, ECON)
         action = max_transaction_policy(
-            region_with([huge, tiny], bandwidth=1.2 * need_tiny), RADIO, ECON, FREQ)
+            region_with([huge, tiny], bandwidth=1.2 * need_tiny), RADIO, ECON)
         assert served(action) == {1}
 
     def test_serves_at_least_greedy_count(self):
@@ -113,8 +114,8 @@ class TestMaxTransaction:
         for _ in range(100):
             n = int(rng.integers(2, 9))
             region = random_region(rng, n=n, vm_count=n)
-            count_max = len(served(max_transaction_policy(region, RADIO, ECON, FREQ)))
-            count_greedy = len(served(greedy_policy(region, RADIO, ECON, FREQ)))
+            count_max = len(served(max_transaction_policy(region, RADIO, ECON)))
+            count_greedy = len(served(greedy_policy(region, RADIO, ECON)))
             assert count_max >= count_greedy
 
 
@@ -123,7 +124,7 @@ class TestAuction:
         need = minimal_bandwidth(task(rho=1.0), 0.0, FREQ, RADIO, ECON)
         tasks = [task(rho=1.0), task(rho=3.0)]
         action = auction_policy(region_with(tasks, bandwidth=1.2 * need),
-                                RADIO, ECON, FREQ)
+                                RADIO, ECON)
         assert served(action) == {1}
 
     def test_equal_priorities_reduce_to_demand_order(self):
@@ -131,7 +132,7 @@ class TestAuction:
         huge = task(d=9e5, rho=2.0)
         need_tiny = minimal_bandwidth(tiny, 0.0, FREQ, RADIO, ECON)
         action = auction_policy(region_with([huge, tiny], bandwidth=1.2 * need_tiny),
-                                RADIO, ECON, FREQ)
+                                RADIO, ECON)
         assert served(action) == {1}
 
     def test_three_task_bid_order(self):
@@ -146,7 +147,7 @@ class TestAuction:
         assert bids[1] > bids[0] > bids[2]
         budget = need[1] + need[0]
         region = region_with([a, b, c], bandwidth=1.05 * budget, vm_count=3)
-        action = auction_policy(region, RADIO, ECON, FREQ)
+        action = auction_policy(region, RADIO, ECON)
         assert served(action) == {0, 1}
 
 
@@ -161,44 +162,58 @@ class TestRandomPolicy:
 
 class TestBruteForceOffload:
     def test_empty_tasks_zero_revenue(self):
-        revenue, assign = brute_force_offload([], 2, 1e6, RADIO, ECON, FREQ)
+        revenue, assign = brute_force_offload(region_with([], 1e6), RADIO, ECON)
         assert revenue == 0.0 and assign == []
 
     def test_single_servable_task(self):
         t = task(rho=2.5)
-        revenue, assign = brute_force_offload([t], 2, 1e6, RADIO, ECON, FREQ)
+        revenue, assign = brute_force_offload(region_with([t], 1e6), RADIO, ECON)
         assert revenue == pytest.approx(25.0)
         assert assign[0] is not None
 
     def test_unservable_task_skipped(self):
         t = task(d=1e5, eta=20_000.0)
-        revenue, assign = brute_force_offload([t], 2, 1e9, RADIO, ECON, FREQ)
+        revenue, assign = brute_force_offload(region_with([t], 1e9), RADIO, ECON)
         assert revenue == 0.0 and assign == [None]
 
     def test_bound_refusal_names_limit(self):
         tasks = [task() for _ in range(ENUMERATION_BOUND + 1)]
         with pytest.raises(ValueError, match=str(ENUMERATION_BOUND)):
-            brute_force_offload(tasks, 2, 1e6, RADIO, ECON, FREQ)
+            brute_force_offload(region_with(tasks, 1e6), RADIO, ECON)
 
     def test_dominates_every_heuristic(self):
         rng = np.random.default_rng(3)
         for _ in range(60):
             region = random_region(rng, n=int(rng.integers(3, 7)))
-            best, _ = brute_force_offload(region.tasks, region.vm_count,
-                                          region.bandwidth, RADIO, ECON, FREQ)
+            best, _ = brute_force_offload(region, RADIO, ECON)
             for policy in (greedy_policy, max_transaction_policy, auction_policy):
-                action = policy(region, RADIO, ECON, FREQ)
-                reward, _, _ = step(region, action, ECON, RADIO, frequency=FREQ)
+                action = policy(region, RADIO, ECON)
+                reward, _, _ = step(region, action, ECON, RADIO)
                 assert reward <= best + 1e-6
 
     def test_assignment_achieves_reported_revenue(self):
         rng = np.random.default_rng(4)
         region = random_region(rng, n=5)
-        best, assign = brute_force_offload(region.tasks, region.vm_count,
-                                           region.bandwidth, RADIO, ECON, FREQ)
+        best, assign = brute_force_offload(region, RADIO, ECON)
         achieved = sum(ECON.reward_per_task * t.priority
                        for t, vm in zip(region.tasks, assign) if vm is not None)
         assert achieved == pytest.approx(best)
+
+    def test_oracle_with_backlog_earns_best_and_dominates_heuristics(self):
+        rng = np.random.default_rng(7)
+        backlog_binds = 0
+        for _ in range(60):
+            empty = random_region(rng, n=int(rng.integers(3, 8)))
+            region = replace(empty, pending=tuple(
+                rng.uniform(0.0, 6e8) for _ in range(empty.vm_count)))
+            best, _ = brute_force_offload(region, RADIO, ECON)
+            reward, _, _ = step(region, oracle_policy(region, RADIO, ECON), ECON, RADIO)
+            assert reward == best
+            for policy in (greedy_policy, max_transaction_policy, auction_policy):
+                heuristic, _, _ = step(region, policy(region, RADIO, ECON), ECON, RADIO)
+                assert heuristic <= reward
+            backlog_binds += best < brute_force_offload(empty, RADIO, ECON)[0]
+        assert backlog_binds > 0
 
 
 class TestBruteForceSlicing:
@@ -232,9 +247,9 @@ class TestBruteForceSlicing:
 class TestConstraintConservation:
     def test_all_policies_satisfy_budget_and_vm_range(self):
         rng = np.random.default_rng(5)
-        policies = [lambda r: greedy_policy(r, RADIO, ECON, FREQ),
-                    lambda r: max_transaction_policy(r, RADIO, ECON, FREQ),
-                    lambda r: auction_policy(r, RADIO, ECON, FREQ),
+        policies = [lambda r: greedy_policy(r, RADIO, ECON),
+                    lambda r: max_transaction_policy(r, RADIO, ECON),
+                    lambda r: auction_policy(r, RADIO, ECON),
                     lambda r: random_policy(r, rng)]
         for _ in range(500):
             region = random_region(rng)
@@ -249,7 +264,7 @@ class TestConstraintConservation:
         rng = np.random.default_rng(6)
         region = random_region(rng)
         for policy in (greedy_policy, max_transaction_policy, auction_policy):
-            a1 = policy(region, RADIO, ECON, FREQ)
-            a2 = policy(region, RADIO, ECON, FREQ)
+            a1 = policy(region, RADIO, ECON)
+            a2 = policy(region, RADIO, ECON)
             assert np.array_equal(a1.bw_fraction, a2.bw_fraction)
             assert np.array_equal(a1.vm_index, a2.vm_index)

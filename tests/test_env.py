@@ -10,7 +10,7 @@ from edgeslice import agent
 from edgeslice.baselines import greedy_policy, minimal_bandwidth
 from edgeslice.env import (AllocationAction, EconParams, RadioParams,
                            RegionCatalog, RegionState, ResourceCatalog,
-                           SliceDecision, TaskSpec, VmQueueState,
+                           SliceDecision, TaskSpec,
                            horizon_profit, rented_and_cost, rented_in_region,
                            settle, step, task_timing, uplink_rate)
 from edgeslice.errors import ConstraintViolation, InfeasibleUploadError
@@ -62,19 +62,19 @@ class TestTaskTiming:
         radio = make_radio(upload_power=3e-6, noise_power=1e-9,
                            pathloss_ref=1e-3, pathloss_exp=2.0)
         task = TaskSpec(data_size=2e6, compute_density=1.0, priority=1.0, distance=1.0)
-        timing = task_timing(task, 0.5e6, VmQueueState(0.0), 1e9, radio)
+        timing = task_timing(task, 0.5e6, 0.0, 1e9, radio)
         assert timing.upload == pytest.approx(2.0)
 
     def test_empty_queue_no_wait(self):
         task = TaskSpec(data_size=1e6, compute_density=100, priority=1.0, distance=50)
-        timing = task_timing(task, 1e6, VmQueueState(0.0), 1e9, make_radio())
+        timing = task_timing(task, 1e6, 0.0, 1e9, make_radio())
         assert timing.queue == 0.0
 
     def test_hand_summed_components(self):
         radio = make_radio(upload_power=3e-6, noise_power=1e-9,
                            pathloss_ref=1e-3, pathloss_exp=2.0)
         task = TaskSpec(data_size=1e6, compute_density=500, priority=1.0, distance=1.0)
-        timing = task_timing(task, 0.5e6, VmQueueState(5e8), 1e9, radio)
+        timing = task_timing(task, 0.5e6, 5e8, 1e9, radio)
         # Hand sums: queue 5e8/1e9, execute 1e6*500/1e9.
         assert timing.queue == pytest.approx(0.5)
         assert timing.execute == pytest.approx(0.5)
@@ -83,7 +83,7 @@ class TestTaskTiming:
     def test_zero_bandwidth_is_infeasible_upload(self):
         task = TaskSpec(data_size=1e6, compute_density=10, priority=1.0, distance=50)
         with pytest.raises(InfeasibleUploadError):
-            task_timing(task, 0.0, VmQueueState(0.0), 1e9, make_radio())
+            task_timing(task, 0.0, 0.0, 1e9, make_radio())
 
     def test_components_nonnegative_and_total_exact(self):
         rng = np.random.default_rng(3)
@@ -93,7 +93,7 @@ class TestTaskTiming:
                             compute_density=rng.uniform(10, 1000),
                             priority=1.0, distance=rng.uniform(10, 400))
             timing = task_timing(task, rng.uniform(1e4, 1e7),
-                                 VmQueueState(rng.uniform(0, 1e10)),
+                                 rng.uniform(0, 1e10),
                                  rng.uniform(1e8, 1e10), radio)
             assert timing.upload >= 0 and timing.queue >= 0 and timing.execute >= 0
             assert timing.total == timing.upload + timing.queue + timing.execute
@@ -157,8 +157,28 @@ class TestRentedAndCost:
 
 def make_region(tasks, bandwidth=5e6, vm_count=2):
     return RegionState(region=0, bandwidth=bandwidth, vm_count=vm_count,
-                       tasks=tasks,
-                       queues=[VmQueueState() for _ in range(vm_count)])
+                       frequency=1e9, tasks=tasks, pending=(0.0,) * vm_count)
+
+
+class TestRegionState:
+    def test_copy_is_equal_with_its_own_task_list(self):
+        state = RegionState(region=1, bandwidth=5e6, vm_count=2, frequency=2e9,
+                            tasks=[TaskSpec(1e5, 10, 1.0, 1.0)], pending=(0.0, 3e8))
+        twin = state.copy()
+        assert twin == state and twin.tasks is not state.tasks
+
+    @pytest.mark.parametrize("pending", [(0.0, -1.0), (0.0, math.nan), (math.inf, 0.0),
+                                         (0.0,), (0.0, 0.0, 0.0)])
+    def test_bad_backlog_rejected(self, pending):
+        with pytest.raises(ValueError):
+            RegionState(region=0, bandwidth=5e6, vm_count=2, frequency=1e9,
+                        tasks=[], pending=pending)
+
+    @pytest.mark.parametrize("frequency", [0.0, -1e9, math.nan, math.inf])
+    def test_bad_frequency_rejected(self, frequency):
+        with pytest.raises(ValueError, match="frequency"):
+            RegionState(region=0, bandwidth=5e6, vm_count=2, frequency=frequency,
+                        tasks=[], pending=(0.0, 0.0))
 
 
 class TestStep:
@@ -178,8 +198,7 @@ class TestStep:
         task = TaskSpec(data_size=5e5, compute_density=200, priority=2.0, distance=1.0)
         state = make_region([task], bandwidth=2e6)
         action = AllocationAction(np.array([0.5]), np.array([0]))
-        reward, nxt, records = step(state, action, self.ECON, self.RADIO,
-                                    frequency=1e9)
+        reward, nxt, records = step(state, action, self.ECON, self.RADIO)
         assert reward == pytest.approx(20.0)
         assert records[0].t_up == pytest.approx(0.25)
         assert records[0].t_exe == pytest.approx(0.1)
@@ -207,20 +226,19 @@ class TestStep:
         task = TaskSpec(data_size=1e5, compute_density=5000, priority=1.0, distance=1.0)
         state = make_region([task], bandwidth=5e6)
         action = AllocationAction(np.array([1.0]), np.array([0]))
-        _, nxt, _ = step(state, action, self.ECON, self.RADIO,
-                         frequency=1e9, slot_duration=0.2)
+        _, nxt, _ = step(state, action, self.ECON, self.RADIO, slot_duration=0.2)
         # 5e8 cycles joined, 2e8 drained in 0.2 s.
-        assert nxt.queues[0].pending_work == pytest.approx(3e8)
+        assert nxt.pending[0] == pytest.approx(3e8)
 
     def test_missed_deadline_settles_zero_and_is_removed(self):
         task = TaskSpec(data_size=1e7, compute_density=5000, priority=3.0, distance=1.0)
         state = make_region([task])
         action = AllocationAction(np.array([1.0]), np.array([0]))
         reward, nxt, records = step(state, action, self.ECON, self.RADIO,
-                                    frequency=1e9, slot_duration=0.0)
+                                    slot_duration=0.0)
         assert reward == 0.0
         assert records[0].revenue == 0.0
-        assert nxt.queues[0].pending_work == 0.0
+        assert nxt.pending[0] == 0.0
 
     def test_deterministic_under_same_inputs(self):
         rng = np.random.default_rng(0)
@@ -230,16 +248,15 @@ class TestStep:
         out1 = step(make_region(list(tasks)), action, self.ECON, self.RADIO)
         out2 = step(make_region(list(tasks)), action, self.ECON, self.RADIO)
         assert out1[0] == out2[0]
-        assert all(q1.pending_work == q2.pending_work
-                   for q1, q2 in zip(out1[1].queues, out2[1].queues))
+        assert out1[1].pending == out2[1].pending
         assert out1[2] == out2[2]
 
 
-def reference_step(state, action, econ, radio, frequency, slot_duration):
+def reference_step(state, action, econ, radio, slot_duration):
     """Scalar settlement of one slot, task by task, through task_timing and
     settle on fresh copies of the tasks (no reused efficiencies)."""
     action = action.projected()
-    queues = [VmQueueState(q.pending_work) for q in state.queues]
+    queues = list(state.pending)
     records, reward = [], 0.0
     for j, task in enumerate(state.tasks):
         key = (state.region, state.long_slot, state.short_slot, j)
@@ -250,14 +267,15 @@ def reference_step(state, action, econ, radio, frequency, slot_duration):
         vm = int(action.vm_index[j])
         fresh = TaskSpec(task.data_size, task.compute_density, task.priority,
                          task.distance)
-        timing = task_timing(fresh, frac * state.bandwidth, queues[vm], frequency, radio)
+        timing = task_timing(fresh, frac * state.bandwidth, queues[vm],
+                             state.frequency, radio)
         revenue = settle(timing, econ, task.priority)
         if revenue > 0.0:
-            queues[vm].pending_work += task.work
+            queues[vm] += task.work
         reward += revenue
         records.append(key + (timing.upload, timing.queue, timing.execute,
                               timing.total, revenue))
-    pending = [max(0.0, q.pending_work - frequency * slot_duration) for q in queues]
+    pending = tuple(max(0.0, work - state.frequency * slot_duration) for work in queues)
     return reward, pending, records
 
 
@@ -274,9 +292,8 @@ class TestStepBits:
                  for _ in range(n)]
         state = RegionState(region=int(rng.integers(0, 3)),
                             bandwidth=rng.uniform(5e6, 2e7), vm_count=vm_count,
-                            tasks=tasks,
-                            queues=[VmQueueState(rng.uniform(0, 3e8))
-                                    for _ in range(vm_count)],
+                            frequency=1e9, tasks=tasks,
+                            pending=tuple(rng.uniform(0, 3e8) for _ in range(vm_count)),
                             long_slot=int(rng.integers(1, 5)),
                             short_slot=int(rng.integers(1, 5)))
         fractions = rng.uniform(0.0, 0.4, size=n)
@@ -285,14 +302,14 @@ class TestStepBits:
         action = AllocationAction(fractions, rng.integers(0, vm_count, size=n))
         return state, action
 
-    def check(self, state, action, econ, frequency=1e9, slot_duration=0.5):
+    def check(self, state, action, econ, slot_duration=0.5):
         ref_reward, ref_pending, ref_records = reference_step(
-            state, action, econ, self.RADIO, frequency, slot_duration)
+            state, action, econ, self.RADIO, slot_duration)
         reward, nxt, records = step(state, action, econ, self.RADIO,
-                                    frequency=frequency, slot_duration=slot_duration)
+                                    slot_duration=slot_duration)
         assert [tuple(r) for r in records] == ref_records
         assert reward == ref_reward
-        assert [q.pending_work for q in nxt.queues] == ref_pending
+        assert nxt.pending == ref_pending
         assert nxt.short_slot == state.short_slot + 1 and nxt.tasks == []
         return records
 
@@ -312,7 +329,7 @@ class TestStepBits:
         # The first task sees only its VM's initial backlog: use its exact
         # total as the deadline.
         timing = task_timing(state.tasks[0], 0.2 * state.bandwidth,
-                             state.queues[vm], 1e9, self.RADIO)
+                             state.pending[vm], state.frequency, self.RADIO)
         records = self.check(state, action, EconParams(10.0, timing.total))
         assert records[0].t_total == timing.total
         assert records[0].revenue == 10.0 * state.tasks[0].priority

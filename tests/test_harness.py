@@ -3,7 +3,9 @@
 import csv
 import hashlib
 import json
+import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -223,6 +225,22 @@ class TestRun:
             assert 0.0 <= row.hit_rate <= 1.0
         assert metrics.violations == 0
 
+    def test_each_region_served_at_its_own_vm_rate(self):
+        cfg = build_config(small_doc())
+        regions = cfg.catalog.regions
+        cfg = replace(cfg, catalog=replace(cfg.catalog, regions=(
+            regions[0], replace(regions[1], vm_frequency=4e9))))
+        scenario_tasks = generate_scenario(cfg, 1).tasks
+        served = {0: 0, 1: 0}
+        for rec in harness.run(cfg, "greedy", seed=1).settlements:
+            if math.isfinite(rec.t_total):
+                task = scenario_tasks[rec.region][rec.long_slot - 1][
+                    rec.short_slot - 1][rec.task_id]
+                rate = 4e9 if rec.region == 1 else 2e9
+                assert rec.t_exe == task.work / rate
+                served[rec.region] += 1
+        assert served[0] > 0 and served[1] > 0
+
     def test_unknown_policy_rejected(self):
         cfg = build_config(small_doc())
         with pytest.raises(ConfigError):
@@ -358,7 +376,7 @@ class TestCheckpointErrors:
         self.load_text(tmp_path, "\n".join(lines) + "\n")
 
     def test_agent_checkpoint_cut_after_header(self, tmp_path):
-        bundle = agent.make_agent(4, np.ones(agent.state_dim(4)), hidden=(4,),
+        bundle = agent.make_agent(4, np.ones(agent.state_dim(4)), 2e9, hidden=(4,),
                                   rng=np.random.default_rng(0))
         path = tmp_path / "agent.ckpt"
         agent.save_agent(bundle, path)
@@ -489,7 +507,8 @@ class TestCli:
 
     def write_agent(self, tmp_path, cfg):
         bundle = agent.make_agent(cfg.n_max, harness.default_state_scale(cfg),
-                                  hidden=(4,), rng=np.random.default_rng(0))
+                                  cfg.vm_frequency, hidden=(4,),
+                                  rng=np.random.default_rng(0))
         path = tmp_path / "agent.ckpt"
         agent.save_agent(bundle, path)
         return path
@@ -515,6 +534,22 @@ class TestCli:
             "--out", str(tmp_path / "out"), "--agent-checkpoint", str(path)])
         assert result.exit_code == 2, result.output
         assert "error:" in result.output and "agent.ckpt" in result.output
+
+    def test_checkpoint_without_frequency_exit_code_2(self, tmp_path):
+        config_path = write_config(tmp_path, small_doc())
+        path = self.write_agent(tmp_path, build_config(small_doc()))
+        lines = path.read_text().splitlines()
+        meta = json.loads(lines[1])
+        del meta["frequency"]
+        lines[1] = json.dumps(meta, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CheckpointError, match="frequency"):
+            agent.load_agent(path)
+        result = CliRunner().invoke(cli_main, [
+            "run", "--config", config_path, "--policy", "sliceoff",
+            "--out", str(tmp_path / "out"), "--agent-checkpoint", str(path)])
+        assert result.exit_code == 2, result.output
+        assert "error:" in result.output and "frequency" in result.output
 
     @pytest.mark.parametrize("args", [
         ["run", "--policy", "greedy", "--seed", "-1"],
