@@ -677,7 +677,7 @@ def train(env_current, env_peer, hp: AgentHyperparams, n_max: int,
     eval_envs = (eval_env_current, eval_env_peer)
     # Rewards are normalized into the critics' O(1) operating range; the
     # env suggests the divisor (raw eval rewards are never rescaled).
-    reward_scale = max(float(getattr(env_current, "reward_scale", 1.0)), 1e-12)
+    reward_scale = max(env_current.reward_scale, 1e-12)
 
     def freeze(side: _Side) -> AgentBundle:
         # Read-only snapshot for the peer's distillation pass this step.

@@ -1,14 +1,23 @@
 """JSON configuration: defaults, parsing and validation.
 
 A config file may specify any subset of the keys below; omitted keys take
-the documented defaults.  The catalog template is replicated across regions.
+the defaults.  The ``radio``, ``econ``, ``forecaster`` and ``agent`` defaults
+are those of ``RadioParams``, ``EconParams``, ``ForecastConfig`` (plus the
+forecaster's training ``lr`` and ``epochs``) and ``AgentHyperparams``.
+
+``_merge`` types every given value by its default: a number must be a finite
+JSON number (not a boolean), an integer field needs an integral value, and a
+list field needs a list whose entries follow the default's entries.  A value
+that does not fit raises ``ConfigError`` naming its dotted path, for example
+``agent.hidden[1]``.  The catalog template is replicated across regions.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field
+import sys
+from dataclasses import asdict, dataclass, fields
 
 from .agent import AgentHyperparams
 from .env import EconParams, RadioParams, RegionCatalog, ResourceCatalog
@@ -24,16 +33,8 @@ DEFAULT_CONFIG = {
     "seed": 0,
     "kappa_up": 0.5,        # deadline share reserved for uploads when sizing demand
     "kappa_exe": 0.5,       # deadline share reserved for execution
-    "radio": {
-        "upload_power": 0.1,
-        "noise_power": 1e-9,
-        "pathloss_ref": 1e-3,
-        "pathloss_exp": 2.0,
-    },
-    "econ": {
-        "reward_per_task": 10.0,
-        "deadline": 1.0,
-    },
+    "radio": asdict(RadioParams()),
+    "econ": asdict(EconParams()),
     "traffic": {
         "base": 6.0,
         "amplitude": 3.0,
@@ -54,34 +55,8 @@ DEFAULT_CONFIG = {
         "bandwidth_options": [[2.0e6, 80.0], [6.0e6, 200.0], [14.0e6, 440.0]],
         "vm_options": [[1, 60.0], [2, 110.0], [4, 210.0]],
     },
-    "forecaster": {
-        "width": 32,
-        "encoder_layers": 2,
-        "topu_factor": 5.0,
-        "head_hidden": 32,
-        "history_window": 64,
-        "current_window": 8,
-        "lr": 1e-3,
-        "epochs": 30,
-    },
-    "agent": {
-        "gamma": 0.99,
-        "tau": 0.005,
-        "critic_lr": 1e-3,
-        "actor_lr": 1e-4,
-        "distill_lr": 1e-4,
-        "batch_size": 64,
-        "buffer_capacity": 50000,
-        "noise_start": 0.3,
-        "noise_end": 0.05,
-        "noise_decay_steps": 20000,
-        "smooth_std": 0.2,
-        "smooth_clip": 0.5,
-        "distill_alpha": 1.0,
-        "hidden": [64, 64],
-        "epochs": 150,
-        "warmup": 500,
-    },
+    "forecaster": {**asdict(ForecastConfig()), "lr": 1e-3, "epochs": 30},
+    "agent": asdict(AgentHyperparams()),
 }
 
 
@@ -106,7 +81,7 @@ class Config:
     forecaster: ForecastConfig
     forecaster_lr: float
     forecaster_epochs: int
-    agent: AgentHyperparams = field(default_factory=AgentHyperparams)
+    agent: AgentHyperparams
 
     @property
     def vm_frequency(self) -> float:
@@ -119,13 +94,30 @@ def _merge(defaults: dict, overrides: dict, path="") -> dict:
         where = f"{path}.{key}" if path else key
         if key not in defaults:
             raise ConfigError(f"unknown config field {where!r}")
-        if isinstance(defaults[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"field {where!r} must be an object")
-            merged[key] = _merge(defaults[key], value, where)
-        else:
-            merged[key] = value
+        merged[key] = _typed(defaults[key], value, where)
     return merged
+
+
+def _typed(default, value, where: str):
+    """`value` cast to the type of `default`; ConfigError names `where`."""
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"field {where!r} must be an object")
+        return _merge(default, value, where)
+    if isinstance(default, (list, tuple)):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"field {where!r} must be a list")
+        return [_typed(default[min(i, len(default) - 1)], v, f"{where}[{i}]")
+                for i, v in enumerate(value)]
+    # The bound rejects NaN, infinities and ints too large for a float.
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ConfigError(f"field {where!r} must be a finite number, got {value!r}")
+    if isinstance(default, int):
+        if value != int(value):
+            raise ConfigError(f"field {where!r} must be an integer, got {value!r}")
+        return int(value)
+    return float(value)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -139,9 +131,8 @@ def require_seed(seed: int, label: str) -> None:
 
 
 def _ordered_range(name: str, pair) -> tuple:
-    _require(isinstance(pair, (list, tuple)) and len(pair) == 2,
-             f"field {name!r} must be a [low, high] pair")
-    lo, hi = float(pair[0]), float(pair[1])
+    _require(len(pair) == 2, f"field {name!r} must be a [low, high] pair")
+    lo, hi = pair
     _require(0 < lo <= hi, f"field {name!r} bounds must satisfy 0 < low <= high")
     return lo, hi
 
@@ -149,25 +140,20 @@ def _ordered_range(name: str, pair) -> tuple:
 def build_config(document: dict) -> Config:
     """Validate a merged document and construct the domain objects."""
     doc = _merge(DEFAULT_CONFIG, document)
-    _require(int(doc["horizon"]) >= 1, "field 'horizon' must be >= 1")
-    _require(int(doc["short_slots"]) >= 1, "field 'short_slots' must be >= 1")
-    _require(int(doc["regions"]) >= 1, "field 'regions' must be >= 1")
-    _require(int(doc["n_max"]) >= 1, "field 'n_max' must be >= 1")
-    require_seed(int(doc["seed"]), "field 'seed'")
-    _require(float(doc["slot_duration"]) > 0, "field 'slot_duration' must be positive")
+    for name in ("horizon", "short_slots", "regions", "n_max"):
+        _require(doc[name] >= 1, f"field {name!r} must be >= 1")
+    require_seed(doc["seed"], "field 'seed'")
+    _require(doc["slot_duration"] > 0, "field 'slot_duration' must be positive")
     for name in ("kappa_up", "kappa_exe"):
-        _require(0.0 < float(doc[name]) < 1.0, f"field {name!r} must lie in (0, 1)")
-    _require(float(doc["kappa_up"]) + float(doc["kappa_exe"]) <= 1.0,
+        _require(0.0 < doc[name] < 1.0, f"field {name!r} must lie in (0, 1)")
+    _require(doc["kappa_up"] + doc["kappa_exe"] <= 1.0,
              "fields 'kappa_up' + 'kappa_exe' must not exceed 1")
 
     tasks = doc["tasks"]
-    task_spec = {
-        "data_size": _ordered_range("tasks.data_size", tasks["data_size"]),
-        "compute_density": _ordered_range("tasks.compute_density", tasks["compute_density"]),
-        "distance": _ordered_range("tasks.distance", tasks["distance"]),
-        "priorities": tuple(float(p) for p in tasks["priorities"]),
-        "priority_probs": tuple(float(p) for p in tasks["priority_probs"]),
-    }
+    task_spec = {name: _ordered_range(f"tasks.{name}", tasks[name])
+                 for name in ("data_size", "compute_density", "distance")}
+    task_spec["priorities"] = tuple(tasks["priorities"])
+    task_spec["priority_probs"] = tuple(tasks["priority_probs"])
     _require(len(task_spec["priorities"]) == len(task_spec["priority_probs"]),
              "fields 'tasks.priorities' and 'tasks.priority_probs' must align")
     _require(all(p >= 0 for p in task_spec["priority_probs"]),
@@ -178,61 +164,43 @@ def build_config(document: dict) -> Config:
              "field 'tasks.priorities' entries must be positive")
 
     traffic = doc["traffic"]
-    _require(float(traffic["base"]) >= 0, "field 'traffic.base' must be >= 0")
-    _require(float(traffic["amplitude"]) >= 0, "field 'traffic.amplitude' must be >= 0")
-    _require(float(traffic["period"]) > 0, "field 'traffic.period' must be positive")
-    _require(float(traffic["noise_std"]) >= 0, "field 'traffic.noise_std' must be >= 0")
+    for name in ("base", "amplitude", "noise_std"):
+        _require(traffic[name] >= 0, f"field 'traffic.{name}' must be >= 0")
+    _require(traffic["period"] > 0, "field 'traffic.period' must be positive")
 
     cat = doc["catalog"]
+    for name in ("bandwidth_options", "vm_options"):
+        _require(all(len(pair) == 2 for pair in cat[name]),
+                 f"field 'catalog.{name}' entries must be [capacity, cost] pairs")
     try:
         region_catalog = RegionCatalog(
-            bandwidth_options=tuple((float(c), float(z))
-                                    for c, z in cat["bandwidth_options"]),
-            vm_options=tuple((int(c), float(z)) for c, z in cat["vm_options"]),
-            vm_frequency=float(cat["vm_frequency"]))
-        catalog = ResourceCatalog(regions=(region_catalog,) * int(doc["regions"]))
-        radio = RadioParams(**{k: float(v) for k, v in doc["radio"].items()})
-        econ = EconParams(**{k: float(v) for k, v in doc["econ"].items()})
-    except (ValueError, TypeError) as exc:
+            bandwidth_options=tuple(map(tuple, cat["bandwidth_options"])),
+            vm_options=tuple(map(tuple, cat["vm_options"])),
+            vm_frequency=cat["vm_frequency"])
+        radio = RadioParams(**doc["radio"])
+        econ = EconParams(**doc["econ"])
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    catalog = ResourceCatalog(regions=(region_catalog,) * doc["regions"])
 
     fc = doc["forecaster"]
-    forecaster = ForecastConfig(
-        width=int(fc["width"]), encoder_layers=int(fc["encoder_layers"]),
-        topu_factor=float(fc["topu_factor"]), head_hidden=int(fc["head_hidden"]),
-        history_window=int(fc["history_window"]),
-        current_window=int(fc["current_window"]))
+    forecaster = ForecastConfig(**{f.name: fc[f.name] for f in fields(ForecastConfig)})
     _require(forecaster.width >= 2, "field 'forecaster.width' must be >= 2")
     _require(forecaster.encoder_layers >= 1,
              "field 'forecaster.encoder_layers' must be >= 1")
 
     ag = doc["agent"]
-    agent = AgentHyperparams(
-        gamma=float(ag["gamma"]), tau=float(ag["tau"]),
-        critic_lr=float(ag["critic_lr"]), actor_lr=float(ag["actor_lr"]),
-        distill_lr=float(ag["distill_lr"]), batch_size=int(ag["batch_size"]),
-        buffer_capacity=int(ag["buffer_capacity"]),
-        noise_start=float(ag["noise_start"]), noise_end=float(ag["noise_end"]),
-        noise_decay_steps=int(ag["noise_decay_steps"]),
-        smooth_std=float(ag["smooth_std"]), smooth_clip=float(ag["smooth_clip"]),
-        distill_alpha=float(ag["distill_alpha"]),
-        hidden=tuple(int(h) for h in ag["hidden"]),
-        epochs=int(ag["epochs"]), warmup=int(ag["warmup"]))
+    agent = AgentHyperparams(**dict(ag, hidden=tuple(ag["hidden"])))
     _require(0.0 <= agent.gamma < 1.0, "field 'agent.gamma' must lie in [0, 1)")
     _require(agent.batch_size >= 1, "field 'agent.batch_size' must be >= 1")
     _require(agent.buffer_capacity >= agent.batch_size,
              "field 'agent.buffer_capacity' must be >= batch_size")
 
-    return Config(
-        raw=doc,
-        horizon=int(doc["horizon"]), short_slots=int(doc["short_slots"]),
-        regions=int(doc["regions"]), n_max=int(doc["n_max"]),
-        slot_duration=float(doc["slot_duration"]), seed=int(doc["seed"]),
-        kappa_up=float(doc["kappa_up"]), kappa_exe=float(doc["kappa_exe"]),
-        radio=radio, econ=econ, traffic=traffic, tasks=task_spec,
-        catalog=catalog, forecaster=forecaster,
-        forecaster_lr=float(fc["lr"]), forecaster_epochs=int(fc["epochs"]),
-        agent=agent)
+    top = {key: value for key, value in doc.items() if not isinstance(value, dict)}
+    return Config(raw=doc, **top, radio=radio, econ=econ, traffic=traffic,
+                  tasks=task_spec, catalog=catalog, forecaster=forecaster,
+                  forecaster_lr=fc["lr"], forecaster_epochs=fc["epochs"],
+                  agent=agent)
 
 
 def load_config(path) -> Config:

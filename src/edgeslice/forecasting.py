@@ -15,7 +15,7 @@ persistence / moving-average baselines live here too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -281,16 +281,8 @@ class ForecastModel:
     # -- persistence ---------------------------------------------------------
 
     def save(self, path) -> None:
-        meta = {
-            "format": self.FORMAT,
-            "width": self.config.width,
-            "encoder_layers": self.config.encoder_layers,
-            "topu_factor": self.config.topu_factor,
-            "head_hidden": self.config.head_hidden,
-            "history_window": self.config.history_window,
-            "current_window": self.config.current_window,
-        }
-        checkpoint.save_arrays(path, self.params, meta)
+        checkpoint.save_arrays(path, self.params,
+                               {"format": self.FORMAT, **asdict(self.config)})
 
     @classmethod
     def load(cls, path) -> "ForecastModel":
@@ -298,11 +290,8 @@ class ForecastModel:
         if meta.get("format") != cls.FORMAT:
             raise CheckpointError(f"{path}: not a forecaster checkpoint")
         try:
-            config = ForecastConfig(
-                width=meta["width"], encoder_layers=meta["encoder_layers"],
-                topu_factor=meta["topu_factor"], head_hidden=meta["head_hidden"],
-                history_window=meta["history_window"],
-                current_window=meta["current_window"])
+            config = ForecastConfig(**{f.name: meta[f.name]
+                                       for f in fields(ForecastConfig)})
         except KeyError as exc:
             raise CheckpointError(f"{path}: forecaster checkpoint lacks {exc}") from exc
         model = cls(config, np.random.default_rng(0))

@@ -166,7 +166,7 @@ def task_profile(config: Config) -> slicing.TaskProfile:
                                mean_distance=(lo_l + hi_l) / 2)
 
 
-def make_predictor(model: ForecastModel | None, n_max: float | None = None):
+def make_predictor(model: ForecastModel | None, n_max: int):
     """Forecast callable: the trained model when given, else persistence.
     Predictions are capped at the physical per-region user bound."""
     def predict(series, horizon):
@@ -174,7 +174,7 @@ def make_predictor(model: ForecastModel | None, n_max: float | None = None):
             counts = baseline_forecast(series, horizon, "persistence")
         else:
             counts = forecast(model, series, horizon)
-        return np.minimum(counts, n_max) if n_max is not None else counts
+        return np.minimum(counts, n_max)
     return predict
 
 
@@ -443,6 +443,8 @@ def train_all(config: Config, out_dir, seed: int | None = None) -> dict:
 
 def oracle_checks(config: Config, instances: int = 25, seed: int = 0) -> list:
     """Exactness spot checks on small instances; returns (name, ok, detail)."""
+    if instances < 1:
+        raise ConfigError(f"oracle instances must be >= 1, got {instances}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x0c]))
     family = InstanceFamily.from_config(config, n_range=(3, 8))
     results = []

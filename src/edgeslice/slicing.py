@@ -6,8 +6,8 @@ round the fractional choice vectors to one feasible option per region.
 
 Each region's relaxed problem has two constraints per resource kind (the
 choice weights form a simplex and the chosen capacity must cover demand), so
-an optimal vertex mixes at most two options and exact enumeration over
-option pairs replaces a general LP solver.
+an optimal vertex mixes at most two options and enumeration over option
+pairs replaces a general LP solver.
 """
 
 from __future__ import annotations
@@ -98,7 +98,10 @@ def _solve_one_resource(options, capacities, demand: float, region: int, resourc
     """Min-cost simplex weights whose chosen capacity covers the demand.
 
     Vertices of the two-constraint polytope are single options or tight
-    two-option mixes; enumeration over those is exact."""
+    two-option mixes.  A mix is admitted only when its covering option is
+    the cheapest single option that covers demand, so every rounded draw
+    lands on, or is repaired to, that optimum; the weights' cost still
+    lower-bounds every feasible one-hot choice."""
     costs = np.array([cost for _, cost in options], dtype=float)
     caps = np.asarray(capacities, dtype=float)
     n = len(options)
@@ -112,9 +115,10 @@ def _solve_one_resource(options, capacities, demand: float, region: int, resourc
             w = np.zeros(n)
             w[k] = 1.0
             best_cost, best = costs[k], w
+    cheapest_cover = best_cost
     for a in range(n):
         for b in range(n):
-            if caps[a] < demand < caps[b]:
+            if caps[a] < demand < caps[b] and costs[b] == cheapest_cover:
                 lam = (caps[b] - demand) / (caps[b] - caps[a])
                 cost = lam * costs[a] + (1.0 - lam) * costs[b]
                 if cost < best_cost - 1e-12:

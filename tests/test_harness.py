@@ -79,6 +79,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="seed"):
             load_config(write_config(tmp_path, {"seed": -1}))
 
+    def test_integral_floats_and_tuples_accepted(self):
+        cfg = build_config({"regions": 2.0, "agent": {"hidden": (16, 8.0)}})
+        assert cfg.regions == 2 and isinstance(cfg.regions, int)
+        assert cfg.agent.hidden == (16, 8)
+        assert all(isinstance(h, int) for h in cfg.agent.hidden)
+
 
 class TestSampleTasks:
     @staticmethod
@@ -484,6 +490,34 @@ class TestCli:
                                           "--instances", "5"])
         assert result.exit_code == 0, result.output
         assert "PASS" in result.output
+
+    @pytest.mark.parametrize("instances", ["0", "-3"])
+    def test_oracle_without_instances_exit_code_2(self, tmp_path, instances):
+        config_path = write_config(tmp_path, small_doc())
+        result = CliRunner().invoke(cli_main, ["oracle", "--config", config_path,
+                                               "--instances", instances])
+        assert result.exit_code == 2, result.output
+        assert "error:" in result.output and "instances" in result.output
+        assert "PASS" not in result.output
+
+    @pytest.mark.parametrize("doc,field", [
+        ({"horizon": "abc"}, "horizon"),
+        ({"agent": {"gamma": "x"}}, "agent.gamma"),
+        ({"agent": {"hidden": 64}}, "agent.hidden"),
+        ({"agent": {"hidden": [64, "x"]}}, "agent.hidden[1]"),
+        ({"traffic": {"base": None}}, "traffic.base"),
+        ({"regions": 2.7}, "regions"),
+        ({"agent": {"epochs": True}}, "agent.epochs"),
+        ({"slot_duration": float("inf")}, "slot_duration"),
+        ({"catalog": {"vm_options": [[1.5, 60.0]]}}, "catalog.vm_options[0][0]"),
+        ({"catalog": {"vm_options": [[1, 60.0, 3]]}}, "catalog.vm_options"),
+        ({"traffic": [1.0]}, "traffic"),
+    ])
+    def test_mistyped_field_exit_code_2(self, tmp_path, doc, field):
+        config_path = write_config(tmp_path, doc)
+        result = CliRunner().invoke(cli_main, ["oracle", "--config", config_path])
+        assert result.exit_code == 2, result.output
+        assert f"error: field {field!r}" in result.output
 
     def test_bad_policy_list_exit_code_2(self, tmp_path):
         config_path = write_config(tmp_path, small_doc())
