@@ -186,12 +186,17 @@ def build_config(document: dict) -> Config:
     fc = doc["forecaster"]
     forecaster = ForecastConfig(**{f.name: fc[f.name] for f in fields(ForecastConfig)})
     _require(forecaster.width >= 2, "field 'forecaster.width' must be >= 2")
-    _require(forecaster.encoder_layers >= 1,
-             "field 'forecaster.encoder_layers' must be >= 1")
+    for name in ("encoder_layers", "history_window", "current_window"):
+        _require(getattr(forecaster, name) >= 1,
+                 f"field 'forecaster.{name}' must be >= 1")
+    _require(fc["lr"] > 0, "field 'forecaster.lr' must be positive")
 
     ag = doc["agent"]
     agent = AgentHyperparams(**dict(ag, hidden=tuple(ag["hidden"])))
     _require(0.0 <= agent.gamma < 1.0, "field 'agent.gamma' must lie in [0, 1)")
+    _require(0.0 < agent.tau <= 1.0, "field 'agent.tau' must lie in (0, 1]")
+    for name in ("critic_lr", "actor_lr", "distill_lr"):
+        _require(getattr(agent, name) > 0, f"field 'agent.{name}' must be positive")
     _require(agent.batch_size >= 1, "field 'agent.batch_size' must be >= 1")
     _require(agent.buffer_capacity >= agent.batch_size,
              "field 'agent.buffer_capacity' must be >= batch_size")

@@ -25,7 +25,8 @@ from .env import (RegionCatalog, RegionState, ResourceCatalog, SettlementRecord,
                   rented_and_cost, rented_in_region, step)
 from .errors import ConfigError
 from .forecasting import ForecastModel, TrafficSeries, baseline_forecast, fit, forecast
-from .scenario import InstanceFamily, OffloadEnv, generate_scenario, traffic_counts
+from .scenario import (InstanceFamily, OffloadEnv, Scenario, generate_scenario,
+                       traffic_counts)
 
 log = logging.getLogger("edgeslice")
 
@@ -147,7 +148,7 @@ def make_policy(tag: str, config: Config, rng: np.random.Generator,
 def default_state_scale(config: Config) -> np.ndarray:
     """Observation normalizers sized to the mean-task demand magnitudes."""
     profile = task_profile(config)
-    efficiency = config.radio.spectral_efficiency(profile.mean_distance)
+    efficiency = profile.spectral_efficiency(config.radio)
     rate_ref = profile.mean_data_size / (config.econ.deadline * efficiency)
     compute_ref = (profile.mean_data_size * profile.mean_compute_density
                    / config.econ.deadline)
@@ -182,34 +183,67 @@ def make_predictor(model: ForecastModel | None, n_max: int):
 # Simulation loop
 # ---------------------------------------------------------------------------
 
-def run(config: Config, policy_tag: str, seed: int, agent_bundle=None,
-        forecaster: ForecastModel | None = None, peer_bundle=None) -> MetricsReport:
-    """Execute H long slots of slicing plus T short slots of allocation.
-
-    Per long slot: adjust rentals from observed traffic, account rental
-    cost, then serve the per-slot task batches under the chosen policy and
-    settle revenues.  Queues are cleared at every slice boundary.
-    """
-    if policy_tag not in POLICY_TAGS:
-        raise ConfigError(f"unknown policy tag {policy_tag!r}; choose from {POLICY_TAGS}")
-    scenario = generate_scenario(config, seed)
+def _seed_streams(seed: int) -> tuple:
+    """A run's (rounding, policy) generators: slice rounding draws from the
+    first, the ``random`` policy from the second."""
     ss = np.random.SeedSequence([seed, 0x7a5])
-    rng_round, rng_policy = (np.random.default_rng(s) for s in ss.spawn(2))
-    policy = make_policy(policy_tag, config, rng_policy, agent_bundle=agent_bundle,
-                         peer_bundle=peer_bundle)
+    return tuple(np.random.default_rng(s) for s in ss.spawn(2))
+
+
+def slice_plan(config: Config, seed: int, scenario: Scenario,
+               forecaster: ForecastModel | None = None) -> tuple:
+    """Every long slot's slice decision for a run of (config, seed).
+
+    Entry h - 1 is long slot h's decision, adjusted from the traffic of
+    slots 1..h-1 by the trained model when given, else by persistence.  No
+    policy enters it, so all policies of a seed with the same predictor
+    share one plan."""
+    rng_round, _ = _seed_streams(seed)
     predictor = make_predictor(forecaster, n_max=config.n_max)
     profile = task_profile(config)
-
-    report_out = MetricsReport(policy=policy_tag, seed=seed)
+    plan = []
     for h in range(1, config.horizon + 1):
         history = None
         if h > 1:
             history = TrafficSeries(scenario.counts[:, :h - 1],
                                     history_window=config.forecaster.history_window,
                                     current_window=config.forecaster.current_window)
-        slices = slicing.adjust_slices(history, config.catalog, predictor,
-                                       rng_round, profile, config.radio,
-                                       config.econ, config.kappa_up, config.kappa_exe)
+        plan.append(slicing.adjust_slices(history, config.catalog, predictor,
+                                          rng_round, profile, config.radio,
+                                          config.econ, config.kappa_up,
+                                          config.kappa_exe))
+    return tuple(plan)
+
+
+def run(config: Config, policy_tag: str, seed: int, agent_bundle=None,
+        forecaster: ForecastModel | None = None, peer_bundle=None,
+        scenario: Scenario | None = None, plan: tuple | None = None) -> MetricsReport:
+    """Execute H long slots of slicing plus T short slots of allocation.
+
+    Per long slot: rent the plan's slice, account rental cost, then serve
+    the per-slot task batches under the chosen policy and settle revenues.
+    Queues are cleared at every slice boundary.
+
+    ``scenario`` and ``plan`` default to ``generate_scenario(config, seed)``
+    and ``slice_plan(config, seed, scenario, forecaster)``; a caller that
+    passes them (``compare``, once per seed) gets the same report.  The run
+    reads them and changes neither.
+    """
+    if policy_tag not in POLICY_TAGS:
+        raise ConfigError(f"unknown policy tag {policy_tag!r}; choose from {POLICY_TAGS}")
+    if scenario is None:
+        scenario = generate_scenario(config, seed)
+    _, rng_policy = _seed_streams(seed)
+    policy = make_policy(policy_tag, config, rng_policy, agent_bundle=agent_bundle,
+                         peer_bundle=peer_bundle)
+    if plan is None:
+        plan = slice_plan(config, seed, scenario, forecaster)
+    if len(plan) != config.horizon:
+        raise ValueError(f"slice plan covers {len(plan)} long slots, "
+                         f"horizon is {config.horizon}")
+
+    report_out = MetricsReport(policy=policy_tag, seed=seed)
+    for h, slices in enumerate(plan, start=1):
         _, _, cost_h = rented_and_cost(config.catalog, slices)
         report_out.rental_log.append((h, cost_h))
 
@@ -328,19 +362,32 @@ def compare(config: Config, policies, seeds, out_dir, agent_bundle=None,
     if not policies or not seeds:
         raise ConfigError("compare needs at least one policy and one seed")
     os.makedirs(out_dir, exist_ok=True)
-    all_totals = []
-    for tag in policies:
-        for seed in seeds:
+    totals = {}  # (policy position, seed position) -> run totals
+    for j, seed in enumerate(seeds):
+        # One scenario, and one slice plan per predictor (the forecaster for
+        # sliceoff when given, else persistence), shared by the seed's
+        # policies and dropped before the next seed.
+        scenario = generate_scenario(config, seed)
+        plans = {}
+        for i, tag in enumerate(policies):
             sliceoff = tag == "sliceoff"
+            model = forecaster if sliceoff else None
+            if model not in plans:
+                plans[model] = slice_plan(config, seed, scenario, model)
             metrics = run(config, tag, seed,
                           agent_bundle=agent_bundle if sliceoff else None,
-                          forecaster=forecaster if sliceoff else None,
-                          peer_bundle=peer_bundle if sliceoff else None)
+                          forecaster=model,
+                          peer_bundle=peer_bundle if sliceoff else None,
+                          scenario=scenario, plan=plans[model])
             sub = os.path.join(out_dir, f"{tag}_seed{seed}")
             report(metrics, sub)
-            all_totals.append(metrics.totals())
+            totals[i, j] = metrics.totals()
             log.info("run complete: policy=%s seed=%s profit=%.3f",
                      tag, seed, metrics.total_profit)
+        del scenario, plans
+    # Policy-major, as the grid is listed.
+    all_totals = [totals[i, j] for i in range(len(policies))
+                  for j in range(len(seeds))]
     comparison_rows = []
     for tag in policies:
         rows = [t for t in all_totals if t["policy"] == tag]

@@ -12,7 +12,7 @@ pairs replaces a general LP solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,15 +23,30 @@ from .forecasting import TrafficSeries
 
 @dataclass(frozen=True)
 class TaskProfile:
-    """Mean task attributes used to size demand per predicted user."""
+    """Mean task attributes used to size demand per predicted user.
+
+    The uplink spectral efficiency at the mean distance is evaluated on
+    first use and reused for the same `RadioParams` object, as
+    `TaskSpec.spectral_efficiency` does per task."""
 
     mean_data_size: float       # bits
     mean_compute_density: float  # cycles/bit
     mean_distance: float        # meters
+    _efficiency: tuple = field(default=(None, 0.0), init=False, compare=False,
+                               repr=False)  # (radio, bits/s/Hz)
 
     def __post_init__(self):
         if min(self.mean_data_size, self.mean_compute_density, self.mean_distance) <= 0:
             raise ValueError("task profile statistics must be positive")
+
+    def spectral_efficiency(self, radio: RadioParams) -> float:
+        """``radio.spectral_efficiency(self.mean_distance)``, evaluated once
+        per profile and radio object."""
+        cached_radio, value = self._efficiency
+        if cached_radio is not radio:
+            value = radio.spectral_efficiency(self.mean_distance)
+            object.__setattr__(self, "_efficiency", (radio, value))
+        return value
 
 
 @dataclass(frozen=True)
@@ -87,7 +102,7 @@ def estimate_demand(forecast_counts, profile: TaskProfile, radio: RadioParams,
     counts = np.asarray(forecast_counts, dtype=float)
     if np.any(counts < 0):
         raise ValueError("forecast counts must be nonnegative")
-    efficiency = radio.spectral_efficiency(profile.mean_distance)
+    efficiency = profile.spectral_efficiency(radio)
     bw = counts * profile.mean_data_size / (econ.deadline * kappa_up * efficiency)
     compute = (counts * profile.mean_data_size * profile.mean_compute_density
                / (econ.deadline * kappa_exe))

@@ -5,17 +5,19 @@ import hashlib
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from edgeslice import agent, checkpoint, harness, scenario
+from edgeslice import agent, checkpoint, harness, scenario, slicing
 from edgeslice.cli import main as cli_main
 from edgeslice.config import DEFAULT_CONFIG, build_config, load_config
 from edgeslice.env import SettlementRecord, TaskSpec, horizon_profit
 from edgeslice.errors import CheckpointError, ConfigError, ConstraintViolation
+from edgeslice.forecasting import ForecastModel
 from edgeslice.scenario import generate_scenario, sample_tasks, traffic_counts
 
 
@@ -23,6 +25,26 @@ def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def tree_sha256(root) -> str:
+    """sha256 over (relative path, bytes) of every file under root."""
+    digest = hashlib.sha256()
+    for base, dirs, files in os.walk(root):
+        dirs.sort()
+        for name in sorted(files):
+            path = os.path.join(base, name)
+            digest.update(os.path.relpath(path, root).encode() + b"\0")
+            with open(path, "rb") as fh:
+                digest.update(fh.read())
+    return digest.hexdigest()
+
+
+def report_rows(metrics):
+    """Everything a run reports: metric rows, settlements, rentals, violations."""
+    return ([r.as_row() for r in metrics.rows],
+            [tuple(rec) for rec in metrics.settlements],
+            list(metrics.rental_log), metrics.violations)
 
 
 def small_doc(**overrides):
@@ -84,6 +106,9 @@ class TestLoadConfig:
         assert cfg.regions == 2 and isinstance(cfg.regions, int)
         assert cfg.agent.hidden == (16, 8)
         assert all(isinstance(h, int) for h in cfg.agent.hidden)
+
+    def test_tau_of_one_accepted(self):
+        assert build_config({"agent": {"tau": 1.0}}).agent.tau == 1.0
 
 
 class TestSampleTasks:
@@ -288,6 +313,57 @@ class TestRun:
                         agent_bundle=self.small_agent(cfg, 1),
                         peer_bundle=self.small_agent(cfg, 2, n_max=cfg.n_max + 1))
 
+    # Every policy tag; sliceoff alone, with a forecaster and with a peer.
+    SHARED_CASES = [(tag, ()) for tag in harness.POLICY_TAGS if tag != "sliceoff"] + [
+        ("sliceoff", ("agent_bundle",)), ("sliceoff", ("agent_bundle", "forecaster")),
+        ("sliceoff", ("agent_bundle", "peer_bundle"))]
+
+    def learned_inputs(self, cfg, names, model):
+        made = {"agent_bundle": self.small_agent(cfg, 1),
+                "peer_bundle": self.small_agent(cfg, 2), "forecaster": model}
+        return {name: made[name] for name in names}
+
+    def test_shared_scenario_and_plan_give_the_same_report(self):
+        cfg = build_config(small_doc())
+        seed = 3
+        shared = generate_scenario(cfg, seed)
+        model = ForecastModel(cfg.forecaster, np.random.default_rng(5))
+        plans = {None: harness.slice_plan(cfg, seed, shared),
+                 model: harness.slice_plan(cfg, seed, shared, model)}
+        # The forecaster case only checks something if its plan differs.
+        assert plans[model] != plans[None]
+        for tag, names in self.SHARED_CASES:
+            kwargs = self.learned_inputs(cfg, names, model)
+            alone = harness.run(cfg, tag, seed, **kwargs)
+            together = harness.run(cfg, tag, seed, scenario=shared,
+                                   plan=plans[kwargs.get("forecaster")], **kwargs)
+            assert report_rows(together) == report_rows(alone), (tag, names)
+
+    def test_runs_leave_the_shared_scenario_unchanged(self):
+        cfg = build_config(small_doc())
+        seed = 4
+        shared = generate_scenario(cfg, seed)
+        model = ForecastModel(cfg.forecaster, np.random.default_rng(5))
+
+        def contents():
+            return (shared.counts.copy(),
+                    [[[(id(batch), list(batch)) for batch in slot] for slot in region]
+                     for region in shared.tasks])
+        before = contents()
+        plan = harness.slice_plan(cfg, seed, shared)
+        for tag, names in self.SHARED_CASES:
+            harness.run(cfg, tag, seed, scenario=shared, plan=plan,
+                        **self.learned_inputs(cfg, names, model))
+        after = contents()
+        np.testing.assert_array_equal(after[0], before[0])
+        assert after[1] == before[1]
+
+    def test_plan_must_cover_the_horizon(self):
+        cfg = build_config(small_doc())
+        plan = harness.slice_plan(cfg, 0, generate_scenario(cfg, 0))
+        with pytest.raises(ValueError, match="horizon"):
+            harness.run(cfg, "greedy", 0, plan=plan[:-1])
+
 
 class TestReport:
     def test_csv_has_eight_columns(self, tmp_path):
@@ -433,6 +509,48 @@ class TestCompare:
                     digest.update(fh.read())
         assert digest.hexdigest() == \
             "f1d2853fe173fde5109c383e0bbf93e76b035dce744ec5a86f387f526a606e8e"
+
+
+    def test_repeated_policy_and_seed_keep_their_bytes(self, tmp_path):
+        # The tree written when every (policy, seed) run drew its own
+        # scenario and slice plan, listed policy-major with repeats.
+        cfg = build_config(small_doc())
+        policies, seeds = ["random", "greedy", "random"], [2, 0, 2]
+        summary = harness.compare(cfg, policies, seeds, tmp_path)
+        assert [(r["policy"], r["seed"]) for r in summary["runs"]] == \
+            [(p, s) for p in policies for s in seeds]
+        assert tree_sha256(tmp_path) == \
+            "2f447e031f492301b25f999df9ce7d0dea6d11a4b527d6020029889c33aa358a"
+
+    @pytest.mark.parametrize("policies,with_forecaster,predictors", [
+        (["greedy", "sliceoff", "random", "auction"], True, 2),
+        (["greedy", "sliceoff", "random"], False, 1),
+        (["sliceoff", "sliceoff"], True, 1),
+    ])
+    def test_one_scenario_per_seed_and_one_plan_per_predictor(
+            self, tmp_path, monkeypatch, policies, with_forecaster, predictors):
+        cfg = build_config(small_doc())
+        seeds = [0, 1, 2]
+        calls = Counter()
+
+        def count(owner, name):
+            fn = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+
+        count(harness, "run")
+        count(harness, "generate_scenario")
+        count(slicing, "adjust_slices")
+        model = (ForecastModel(cfg.forecaster, np.random.default_rng(5))
+                 if with_forecaster else None)
+        harness.compare(cfg, policies, seeds, tmp_path,
+                        agent_bundle=TestRun.small_agent(cfg, 1), forecaster=model)
+        assert calls["run"] == len(policies) * len(seeds)
+        assert calls["generate_scenario"] == len(seeds)
+        assert calls["adjust_slices"] == cfg.horizon * len(seeds) * predictors
 
 
 class TestOracleChecks:
@@ -597,6 +715,29 @@ class TestCli:
         result = CliRunner().invoke(cli_main, args + ["--config", config_path] + out)
         assert result.exit_code == 2, result.output
         assert "error:" in result.output and "seed" in result.output
+
+    @pytest.mark.parametrize("section,name,value", [
+        ("forecaster", "history_window", 0),
+        ("forecaster", "current_window", 0),
+        ("forecaster", "lr", -1.0),
+        ("forecaster", "lr", 0.0),
+        ("agent", "critic_lr", -1.0),
+        ("agent", "actor_lr", -1.0),
+        ("agent", "distill_lr", -1.0),
+        ("agent", "tau", -1.0),
+        ("agent", "tau", 0.0),
+        ("agent", "tau", 1.5),
+    ])
+    def test_bad_window_rate_or_tau_exit_code_2(self, tmp_path, section, name, value):
+        doc = small_doc()
+        doc[section] = dict(doc[section], **{name: value})
+        config_path = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        result = CliRunner().invoke(cli_main, ["train", "--config", config_path,
+                                               "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert f"error: field '{section}.{name}'" in result.output
+        assert not out.exists()
 
     def test_constraint_violation_exit_code_6(self, tmp_path, monkeypatch):
         def broken_run(*args, **kwargs):

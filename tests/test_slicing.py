@@ -48,6 +48,22 @@ class TestEstimateDemand:
         eff = RADIO.spectral_efficiency(100.0)
         assert demand.bw_demand[0] == pytest.approx(1e6 / (0.5 * eff))
 
+    def test_efficiency_evaluated_once_per_profile_and_radio(self, monkeypatch):
+        calls = []
+        evaluate = RadioParams.spectral_efficiency
+
+        def counted(radio, distance):
+            calls.append(radio)
+            return evaluate(radio, distance)
+        monkeypatch.setattr(RadioParams, "spectral_efficiency", counted)
+        profile = TaskProfile(1e6, 100.0, 100.0)
+        other = RadioParams(upload_power=0.2)
+        for radio in (RADIO, RADIO, other, other, RADIO):
+            demand = estimate_demand(np.array([2.0]), profile, radio, ECON)
+            assert demand.bw_demand[0] == \
+                2.0 * 1e6 / (1.0 * 0.5 * evaluate(radio, 100.0))
+        assert calls == [RADIO, other, RADIO]
+
     def test_linear_in_count(self):
         d1 = estimate_demand(np.array([3.0]), PROFILE, RADIO, ECON)
         d2 = estimate_demand(np.array([6.0]), PROFILE, RADIO, ECON)
