@@ -589,16 +589,19 @@ def load_agent(path) -> AgentBundle:
         scale = arrays["state_scale"]
         n_max = meta["n_max"]
         frequency = meta["frequency"]
+        checkpoint.check_shape(path, "state_scale", scale, (state_dim(n_max),))
         wrappers = {}
         for net_name in _NETS:
             spec = meta["nets"][net_name]
             params = {k.split(".", 1)[1]: v for k, v in arrays.items()
                       if k.startswith(f"{net_name}.")}
-            for i in range(len(spec["dims"]) - 1):
-                for kind in ("w", "b"):
-                    if f"{kind}{i}" not in params:
-                        raise KeyError(f"{net_name}.{kind}{i}")
-            net = Network(tuple(spec["dims"]), tuple(spec["activations"]), params)
+            dims = spec["dims"]
+            for i, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
+                for key, shape in ((f"w{i}", (fan_in, fan_out)), (f"b{i}", (fan_out,))):
+                    if key not in params:
+                        raise KeyError(f"{net_name}.{key}")
+                    checkpoint.check_shape(path, f"{net_name}.{key}", params[key], shape)
+            net = Network(tuple(dims), tuple(spec["activations"]), params)
             wrapper_cls = TaskBlockActor if "actor" in net_name else TaskBlockCritic
             wrappers[net_name] = wrapper_cls(net, n_max, scale, frequency)
         return AgentBundle(

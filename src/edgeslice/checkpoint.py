@@ -84,3 +84,11 @@ def load_arrays(path):
         arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
         i += 2
     return arrays, meta
+
+
+def check_shape(path, name: str, array: np.ndarray, shape: tuple) -> None:
+    """Raise CheckpointError when a loaded array's shape is not the one its
+    checkpoint's own configuration builds."""
+    if array.shape != tuple(shape):
+        raise CheckpointError(f"{path}: array {name!r} has shape {array.shape}, "
+                              f"its configuration builds {tuple(shape)}")

@@ -7,6 +7,11 @@ self-attention over the recent window plus placeholder positions, then
 cross-attention into the encoder output; a two-layer head maps each
 placeholder position to a predicted count.
 
+Every pass runs all regions at once: sequences are stacked as (regions,
+length, channels) and each matmul is a stacked `@`, which multiplies region
+by region, so a region's outputs have the bits of a pass over that region
+alone.  Parameter gradients add the regions' contributions in region order.
+
 All gradients are hand-derived reverse mode in float64; selection indices
 (top-u queries, max-pool argmax) are treated as constants.  Simple
 persistence / moving-average baselines live here too.
@@ -42,6 +47,8 @@ class TrafficSeries:
         self.counts = np.asarray(self.counts, dtype=float)
         if self.counts.ndim != 2:
             raise ValueError(f"counts must be (regions, slots), got shape {self.counts.shape}")
+        if not np.all(np.isfinite(self.counts)):
+            raise ValueError("user counts must be finite")
         if self.counts.size and np.any(self.counts < 0):
             raise ValueError("user counts must be nonnegative")
         if self.history_window < 1 or self.current_window < 1:
@@ -71,56 +78,66 @@ def build_io(series: TrafficSeries, horizon: int):
 
 
 # ---------------------------------------------------------------------------
-# Attention primitives (single sequence, single head)
+# Attention primitives (single head, regions stacked)
 # ---------------------------------------------------------------------------
 
 def _softmax_rows(s: np.ndarray) -> np.ndarray:
-    shifted = s - s.max(axis=1, keepdims=True)
+    shifted = s - s.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _t(a: np.ndarray) -> np.ndarray:
+    """Each region's matrix transposed."""
+    return a.swapaxes(-1, -2)
 
 
 def sparsity_measure(scores: np.ndarray) -> np.ndarray:
     """Per-query activity score: max over keys minus the mean over keys."""
-    return scores.max(axis=1) - scores.mean(axis=1)
+    return scores.max(axis=-1) - scores.mean(axis=-1)
 
 
 def top_u_queries(scores: np.ndarray, u: int) -> np.ndarray:
-    """Indices of the u most active queries; ties broken by lower index."""
-    order = np.argsort(-sparsity_measure(scores), kind="stable")
-    return np.sort(order[:u])
+    """Indices of the u most active queries, per region when scores are
+    stacked; ties broken by lower index."""
+    order = np.argsort(-sparsity_measure(scores), axis=-1, kind="stable")
+    return np.sort(order[..., :u], axis=-1)
 
 
 def _probsparse_forward(Q, K, V, u):
-    L_q, d = Q.shape
-    scores = Q @ K.T / math.sqrt(d)
+    R, L_q, d = Q.shape
+    scores = Q @ _t(K) / math.sqrt(d)
     sel = top_u_queries(scores, u)
-    attn = _softmax_rows(scores[sel])
-    out = np.tile(V.mean(axis=0), (L_q, 1))
-    out[sel] = attn @ V
+    rows = np.arange(R)[:, None]
+    attn = _softmax_rows(scores[rows, sel])
+    out = np.repeat(V.mean(axis=1)[:, None, :], L_q, axis=1)
+    out[rows, sel] = attn @ V
     return out, (Q, K, V, sel, attn)
 
 
 def _probsparse_backward(cache, d_out):
     Q, K, V, sel, attn = cache
-    L_q, d = Q.shape
-    L_k = K.shape[0]
+    R, L_q, d = Q.shape
+    L_k = K.shape[1]
     scale = 1.0 / math.sqrt(d)
+    rows = np.arange(R)[:, None]
     dQ = np.zeros_like(Q)
     dK = np.zeros_like(K)
     dV = np.zeros_like(V)
     # Selected rows: softmax attention.
-    d_sel = d_out[sel]
-    dV += attn.T @ d_sel
-    d_attn = d_sel @ V.T
-    d_scores = attn * (d_attn - (d_attn * attn).sum(axis=1, keepdims=True))
-    dQ[sel] = d_scores @ K * scale
-    dK += d_scores.T @ Q[sel] * scale
+    d_sel = d_out[rows, sel]
+    dV += _t(attn) @ d_sel
+    d_attn = d_sel @ _t(V)
+    d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
+    dQ[rows, sel] = d_scores @ K * scale
+    dK += _t(d_scores) @ Q[rows, sel] * scale
     # Remaining rows emit the column mean of V.
-    mask = np.ones(L_q, dtype=bool)
-    mask[sel] = False
-    if mask.any():
-        dV += np.tile(d_out[mask].sum(axis=0) / L_k, (L_k, 1))
+    rest = L_q - sel.shape[1]
+    if rest:
+        mask = np.ones((R, L_q), dtype=bool)
+        mask[rows, sel] = False
+        d_rest = d_out[mask].reshape(R, rest, -1)
+        dV += (d_rest.sum(axis=1) / L_k)[:, None, :]
     return dQ, dK, dV
 
 
@@ -136,14 +153,14 @@ def probsparse_attention(Q: np.ndarray, K: np.ndarray, V: np.ndarray, u: int) ->
             f"incompatible shapes Q{Q.shape} K{K.shape} V{V.shape}")
     if not 1 <= u <= Q.shape[0]:
         raise ValueError(f"query budget u={u} outside [1, {Q.shape[0]}]")
-    out, _ = _probsparse_forward(Q, K, V, u)
-    return out
+    out, _ = _probsparse_forward(Q[None], K[None], V[None], u)
+    return out[0]
 
 
 def _masked_forward(Q, K, V):
     """Causal dense attention: query i attends keys 0..i."""
-    L, d = Q.shape
-    scores = Q @ K.T / math.sqrt(d)
+    L, d = Q.shape[1:]
+    scores = Q @ _t(K) / math.sqrt(d)
     scores = np.where(np.triu(np.ones((L, L), dtype=bool), k=1), -np.inf, scores)
     attn = _softmax_rows(scores)
     return attn @ V, (Q, K, V, attn)
@@ -151,12 +168,12 @@ def _masked_forward(Q, K, V):
 
 def _masked_backward(cache, d_out):
     Q, K, V, attn = cache
-    scale = 1.0 / math.sqrt(Q.shape[1])
-    dV = attn.T @ d_out
-    d_attn = d_out @ V.T
-    d_scores = attn * (d_attn - (d_attn * attn).sum(axis=1, keepdims=True))
+    scale = 1.0 / math.sqrt(Q.shape[-1])
+    dV = _t(attn) @ d_out
+    d_attn = d_out @ _t(V)
+    d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
     dQ = d_scores @ K * scale
-    dK = d_scores.T @ Q * scale
+    dK = _t(d_scores) @ Q * scale
     return dQ, dK, dV
 
 
@@ -165,48 +182,51 @@ def _masked_backward(cache, d_out):
 # ---------------------------------------------------------------------------
 
 def _conv1d_forward(x, kernel, bias):
-    """Same-padded width-3 convolution over time; x is (L, d_in)."""
-    L = x.shape[0]
-    pad = np.vstack([np.zeros((1, x.shape[1])), x, np.zeros((1, x.shape[1]))])
-    y = np.tile(bias, (L, 1))
+    """Same-padded width-3 convolution over time; x is (R, L, d_in)."""
+    R, L, d_in = x.shape
+    pad = np.zeros((R, L + 2, d_in))
+    pad[:, 1:-1] = x
+    y = np.empty((R, L, kernel.shape[2]))
+    y[...] = bias
     for k in range(3):
-        y += pad[k:k + L] @ kernel[k]
+        y += pad[:, k:k + L] @ kernel[k]
     return y, pad
 
 
 def _conv1d_backward(pad, kernel, d_y):
-    L = d_y.shape[0]
-    d_kernel = np.zeros_like(kernel)
+    """Per-region kernel and bias gradients, and the input gradient."""
+    L = d_y.shape[1]
+    d_kernel = np.empty((d_y.shape[0],) + kernel.shape)
     d_pad = np.zeros_like(pad)
     for k in range(3):
-        d_kernel[k] = pad[k:k + L].T @ d_y
-        d_pad[k:k + L] += d_y @ kernel[k].T
-    return d_kernel, d_y.sum(axis=0), d_pad[1:-1]
+        d_kernel[:, k] = _t(pad[:, k:k + L]) @ d_y
+        d_pad[:, k:k + L] += d_y @ kernel[k].T
+    return d_kernel, d_y.sum(axis=1), d_pad[:, 1:-1]
 
 
 def _maxpool_forward(x):
     """Width-2 stride-2 max over time; odd tails pass through."""
-    L, d = x.shape
+    L = x.shape[1]
     L_even = (L // 2) * 2
-    pairs = x[:L_even].reshape(-1, 2, d)
-    arg = pairs.argmax(axis=1)
-    out = pairs.max(axis=1)
+    first, second = x[:, 0:L_even:2], x[:, 1:L_even:2]
+    # Which slot of each pair holds the max; a tie picks the first.
+    arg = second > first
+    out = np.maximum(first, second)
     if L % 2:
-        out = np.vstack([out, x[-1:]])
+        out = np.concatenate([out, x[:, -1:]], axis=1)
     return out, (L, arg)
 
 
 def _maxpool_backward(cache, d_out):
     L, arg = cache
-    d = d_out.shape[1]
-    dx = np.zeros((L, d))
-    n_pairs = arg.shape[0]
-    if n_pairs:
-        # Pool windows are disjoint, so plain fancy-index assignment suffices.
-        rows = 2 * np.arange(n_pairs)[:, None] + arg
-        dx[rows, np.arange(d)[None, :]] = d_out[:n_pairs]
+    n_pairs = arg.shape[1]
+    # Pool windows are disjoint, so each gradient lands in one slot.
+    d_pairs = d_out[:, :n_pairs]
+    dx = np.zeros((d_out.shape[0], L, d_out.shape[2]))
+    dx[:, 0:2 * n_pairs:2] = np.where(arg, 0.0, d_pairs)
+    dx[:, 1:2 * n_pairs:2] = np.where(arg, d_pairs, 0.0)
     if L % 2:
-        dx[-1] = d_out[-1]
+        dx[:, -1] = d_out[:, -1]
     return dx
 
 
@@ -217,9 +237,9 @@ def distill_block(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.nda
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError(f"distill_block needs (L>=2, channels), got shape {x.shape}")
-    y, _ = _conv1d_forward(x, kernel, bias)
+    y, _ = _conv1d_forward(x[None], kernel, bias)
     pooled, _ = _maxpool_forward(_ELU(y))
-    return pooled
+    return pooled[0]
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +318,8 @@ class ForecastModel:
         missing = sorted(set(model.params) - set(arrays))
         if missing:
             raise CheckpointError(f"{path}: forecaster checkpoint lacks {missing}")
+        for name, built in model.params.items():
+            checkpoint.check_shape(path, name, arrays[name], built.shape)
         model.params = arrays
         return model
 
@@ -314,13 +336,17 @@ class ForecastModel:
         return x * float(self.params["norm_std"]) + float(self.params["norm_mean"])
 
     def _forward_region(self, x_en, x_de, want_cache=False):
-        """One region's sequences -> per-decoder-position head outputs."""
+        """Every region's sequences -> per-decoder-position head outputs.
+
+        x_en is (regions, L_en) and x_de (regions, L_de); the output is
+        (regions, L_de).  A 1-D pair is one region and gives a 1-D output."""
         p = self.params
-        cache = {}
+        squeeze = np.ndim(x_en) == 1
+        x_en, x_de = np.atleast_2d(x_en, x_de)
 
         def embed(x):
-            h = self._normalize(x)[:, None] * p["embed_w"][None, :] + p["embed_b"][None, :]
-            return h + _positional_encoding(len(x), self.config.width)
+            h = self._normalize(x)[..., None] * p["embed_w"] + p["embed_b"]
+            return h + _positional_encoding(x.shape[1], self.config.width)
 
         h = embed(x_en)
         enc_caches = []
@@ -328,11 +354,11 @@ class ForecastModel:
             Q = h @ p[f"enc{i}_wq"]
             K = h @ p[f"enc{i}_wk"]
             V = h @ p[f"enc{i}_wv"]
-            attn_out, attn_cache = _probsparse_forward(Q, K, V, self._budget(h.shape[0]))
+            attn_out, attn_cache = _probsparse_forward(Q, K, V, self._budget(h.shape[1]))
             h_res = h + attn_out
             layer = {"h_in": h, "attn": attn_cache, "dist": None}
             h = h_res
-            if i < self.config.encoder_layers - 1 and h.shape[0] >= 2:
+            if i < self.config.encoder_layers - 1 and h.shape[1] >= 2:
                 conv, pad = _conv1d_forward(h, p[f"dist{i}_kernel"], p[f"dist{i}_bias"])
                 act = _ELU(conv)
                 pooled, pool_cache = _maxpool_forward(act)
@@ -351,74 +377,95 @@ class ForecastModel:
         Kc = enc_out @ p["dec_cross_wk"]
         Vc = enc_out @ p["dec_cross_wv"]
         cross_out, cross_cache = _probsparse_forward(
-            Qc, Kc, Vc, self._budget(dec.shape[0]))
+            Qc, Kc, Vc, self._budget(dec.shape[1]))
         fused = dec + cross_out
 
         z0 = fused @ p["head_w0"] + p["head_b0"]
         a0 = _ELU(z0)
-        out = (a0 @ p["head_w1"] + p["head_b1"]).ravel()
+        out = (a0 @ p["head_w1"] + p["head_b1"])[..., 0]
+        if squeeze:
+            out = out[0]
         if not want_cache:
             return out
-        cache.update(x_en=x_en, x_de=x_de, enc=enc_caches, enc_h=enc_out,
+        cache = dict(x_en=x_en, x_de=x_de, enc=enc_caches, enc_h=enc_out,
                      de=de, dec=dec, fused=fused, z0=z0, a0=a0,
                      self_cache=self_cache, cross_cache=cross_cache)
         return out, cache
 
     def _backward_region(self, cache, d_out, grads):
-        """Accumulate parameter gradients for one region's forward pass."""
+        """Accumulate parameter gradients for a cached forward pass.
+
+        d_out has the forward output's shape.  Each parameter gradient
+        adds the regions' contributions in region order.  The cache is
+        consumed: backward pops each entry when it reaches it."""
         p = self.params
-        d_col = d_out[:, None]
-        grads["head_b1"] += d_col.sum(axis=0)
-        grads["head_w1"] += cache["a0"].T @ d_col
+        d_col = np.atleast_2d(d_out)[..., None]
+        _accumulate(grads["head_b1"], d_col.sum(axis=1))
+        _accumulate(grads["head_w1"], _t(cache.pop("a0")) @ d_col)
         d_a0 = d_col @ p["head_w1"].T
-        d_z0 = d_a0 * _DELU(cache["z0"])
-        grads["head_b0"] += d_z0.sum(axis=0)
-        grads["head_w0"] += cache["fused"].T @ d_z0
+        d_z0 = d_a0 * _DELU(cache.pop("z0"))
+        _accumulate(grads["head_b0"], d_z0.sum(axis=1))
+        _accumulate(grads["head_w0"], _t(cache.pop("fused")) @ d_z0)
         d_fused = d_z0 @ p["head_w0"].T
 
         # Cross attention (residual around it).
         d_dec = d_fused.copy()
-        dQc, dKc, dVc = _probsparse_backward(cache["cross_cache"], d_fused)
-        grads["dec_cross_wq"] += cache["dec"].T @ dQc
-        grads["dec_cross_wk"] += cache["enc_h"].T @ dKc
-        grads["dec_cross_wv"] += cache["enc_h"].T @ dVc
+        dQc, dKc, dVc = _probsparse_backward(cache.pop("cross_cache"), d_fused)
+        enc_h = cache.pop("enc_h")
+        _accumulate(grads["dec_cross_wq"], _t(cache.pop("dec")) @ dQc)
+        _accumulate(grads["dec_cross_wk"], _t(enc_h) @ dKc)
+        _accumulate(grads["dec_cross_wv"], _t(enc_h) @ dVc)
         d_dec += dQc @ p["dec_cross_wq"].T
         d_enc = dKc @ p["dec_cross_wk"].T + dVc @ p["dec_cross_wv"].T
 
         # Decoder self attention (residual).
         d_de = d_dec.copy()
-        dQs, dKs, dVs = _masked_backward(cache["self_cache"], d_dec)
-        grads["dec_self_wq"] += cache["de"].T @ dQs
-        grads["dec_self_wk"] += cache["de"].T @ dKs
-        grads["dec_self_wv"] += cache["de"].T @ dVs
+        dQs, dKs, dVs = _masked_backward(cache.pop("self_cache"), d_dec)
+        de = cache.pop("de")
+        _accumulate(grads["dec_self_wq"], _t(de) @ dQs)
+        _accumulate(grads["dec_self_wk"], _t(de) @ dKs)
+        _accumulate(grads["dec_self_wv"], _t(de) @ dVs)
         d_de += dQs @ p["dec_self_wq"].T + dKs @ p["dec_self_wk"].T + dVs @ p["dec_self_wv"].T
-        self._backward_embed(cache["x_de"], d_de, grads)
+        dec_w, dec_b = self._embed_grads(cache.pop("x_de"), d_de)
 
         # Encoder stack, reversed.
         d_h = d_enc
+        layers = cache.pop("enc")
         for i in reversed(range(self.config.encoder_layers)):
-            layer = cache["enc"][i]
+            layer = layers.pop()
             if layer["dist"] is not None:
                 pad, conv, pool_cache = layer["dist"]
                 d_act = _maxpool_backward(pool_cache, d_h)
                 d_conv = d_act * _DELU(conv)
                 d_kernel, d_bias, d_h = _conv1d_backward(pad, p[f"dist{i}_kernel"], d_conv)
-                grads[f"dist{i}_kernel"] += d_kernel
-                grads[f"dist{i}_bias"] += d_bias
+                _accumulate(grads[f"dist{i}_kernel"], d_kernel)
+                _accumulate(grads[f"dist{i}_bias"], d_bias)
             d_in = d_h.copy()
             dQ, dK, dV = _probsparse_backward(layer["attn"], d_h)
             h_in = layer["h_in"]
-            grads[f"enc{i}_wq"] += h_in.T @ dQ
-            grads[f"enc{i}_wk"] += h_in.T @ dK
-            grads[f"enc{i}_wv"] += h_in.T @ dV
+            _accumulate(grads[f"enc{i}_wq"], _t(h_in) @ dQ)
+            _accumulate(grads[f"enc{i}_wk"], _t(h_in) @ dK)
+            _accumulate(grads[f"enc{i}_wv"], _t(h_in) @ dV)
             d_in += dQ @ p[f"enc{i}_wq"].T + dK @ p[f"enc{i}_wk"].T + dV @ p[f"enc{i}_wv"].T
             d_h = d_in
-        self._backward_embed(cache["x_en"], d_h, grads)
+        enc_w, enc_b = self._embed_grads(cache.pop("x_en"), d_h)
+        # The shared embedding takes each region's decoder then encoder part.
+        for r in range(d_col.shape[0]):
+            grads["embed_w"] += dec_w[r]
+            grads["embed_w"] += enc_w[r]
+            grads["embed_b"] += dec_b[r]
+            grads["embed_b"] += enc_b[r]
 
-    def _backward_embed(self, x, d_h, grads):
+    def _embed_grads(self, x, d_h):
+        """Per-region (embed_w, embed_b) gradients of an embedded sequence."""
         xn = self._normalize(x)
-        grads["embed_w"] += (xn[:, None] * d_h).sum(axis=0)
-        grads["embed_b"] += d_h.sum(axis=0)
+        return (xn[..., None] * d_h).sum(axis=1), d_h.sum(axis=1)
+
+
+def _accumulate(grad: np.ndarray, parts: np.ndarray) -> None:
+    """grad += parts[0]; grad += parts[1]; ... in region order."""
+    for part in parts:
+        grad += part
 
 
 # ---------------------------------------------------------------------------
@@ -430,11 +477,8 @@ def forecast(model: ForecastModel, series: TrafficSeries, horizon: int) -> np.nd
     if series.num_regions < 1:
         raise ValueError("series covers no regions")
     x_en, x_de = build_io(series, horizon)
-    preds = np.empty((series.num_regions, horizon))
-    for r in range(series.num_regions):
-        out = model._forward_region(x_en[r], x_de[r])
-        preds[r] = model._denormalize(out[-horizon:])
-    return np.maximum(preds, 0.0)
+    out = model._forward_region(x_en, x_de)
+    return np.maximum(model._denormalize(out[:, -horizon:]), 0.0)
 
 
 def fit(model: ForecastModel, series: TrafficSeries, epochs: int, lr: float,
@@ -472,15 +516,15 @@ def fit(model: ForecastModel, series: TrafficSeries, epochs: int, lr: float,
             target = model._normalize(counts[:, t:t + horizon])
             grads = {name: np.zeros_like(arr) for name, arr in model.params.items()
                      if name not in ("norm_mean", "norm_std")}
-            loss = 0.0
+            out, cache = model._forward_region(x_en, x_de, want_cache=True)
+            err = out[:, -horizon:] - target
             denom = target.size
-            for r in range(series.num_regions):
-                out, cache = model._forward_region(x_en[r], x_de[r], want_cache=True)
-                err = out[-horizon:] - target[r]
-                loss += float(err @ err) / denom
-                d_out = np.zeros_like(out)
-                d_out[-horizon:] = 2.0 * err / denom
-                model._backward_region(cache, d_out, grads)
+            loss = 0.0
+            for e in err:
+                loss += float(e @ e) / denom
+            d_out = np.zeros_like(out)
+            d_out[:, -horizon:] = 2.0 * err / denom
+            model._backward_region(cache, d_out, grads)
             if not math.isfinite(loss):
                 raise DivergenceError(
                     f"non-finite training loss at window {t}", curves=trace)

@@ -8,6 +8,7 @@ built on these primitives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,45 +41,76 @@ def activation(name: str):
 
 @dataclass
 class AdamState:
-    """First/second moment buffers with bias correction, keyed by array name."""
+    """First/second moment buffers with bias correction, keyed by array name.
+
+    The first update fixes the layout: the gradient names, their order and
+    their shapes.  Both moments live in one flat buffer each, in that order;
+    ``m[name]`` and ``v[name]`` are reshaped views into them."""
 
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: dict = field(default_factory=dict, init=False)
+    v: dict = field(default_factory=dict, init=False)
+    _m: np.ndarray = field(default=None, init=False, repr=False)
+    _v: np.ndarray = field(default=None, init=False, repr=False)
+    _spans: dict = field(default_factory=dict, init=False, repr=False)
 
     def apply(self, params: dict, grads: dict, lr: float) -> None:
         """In-place adaptive-moment update of params given matching grads.
 
-        lr == 0 is a strict no-op (moments untouched)."""
+        lr == 0 is a strict no-op (moments untouched).  Raises ValueError
+        when the gradients' names or shapes differ from the first update's,
+        and DivergenceError naming the first parameter with a non-finite
+        gradient."""
         if lr == 0.0:
             return
-        for name, g in grads.items():
-            if not np.all(np.isfinite(g)):
-                raise DivergenceError(f"non-finite gradient for parameter {name!r}")
+        layout = [(name, g.shape) for name, g in grads.items()]
+        fixed = [(name, m.shape) for name, m in self.m.items()]
+        if fixed and layout != fixed:
+            raise ValueError(f"gradient layout {layout} differs from the "
+                             f"moments' layout {fixed}")
+        g = np.concatenate([a.ravel() for a in grads.values()])
+        if not np.isfinite(g).all():
+            bad = next(name for name, a in grads.items() if not np.isfinite(a).all())
+            raise DivergenceError(f"non-finite gradient for parameter {bad!r}")
+        if not fixed:
+            self._allocate(layout, g.size)
         self.step += 1
         bc1 = 1.0 - self.beta1 ** self.step
         bc2 = 1.0 - self.beta2 ** self.step
-        for name, g in grads.items():
-            if name not in self.m:
-                self.m[name] = np.zeros_like(g)
-                self.v[name] = np.zeros_like(g)
-            # In place, in the operation order of
-            # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g;
-            # p -= lr * (m/bc1) / (sqrt(v/bc2) + eps).
-            m, v = self.m[name], self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            step = m / bc1
-            step *= lr
-            denom = np.sqrt(v / bc2)
-            denom += self.eps
-            step /= denom
-            params[name] -= step
+        # In place over the flat buffers, in the operation order of
+        # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g;
+        # p -= lr * (m/bc1) / (sqrt(v/bc2) + eps).
+        # The concatenated gradient and one scratch array are the step's
+        # only allocations.
+        m, v = self._m, self._v
+        sq = g * (1.0 - self.beta2)
+        sq *= g
+        v *= self.beta2
+        v += sq
+        g *= 1.0 - self.beta1
+        m *= self.beta1
+        m += g
+        step = np.divide(m, bc1, out=g)
+        step *= lr
+        denom = np.divide(v, bc2, out=sq)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        step /= denom
+        for name, shape in layout:
+            params[name] -= step[self._spans[name]].reshape(shape)
+
+    def _allocate(self, layout: list, size: int) -> None:
+        self._m = np.zeros(size)
+        self._v = np.zeros(size)
+        start = 0
+        for name, shape in layout:
+            span = self._spans[name] = slice(start, start + math.prod(shape))
+            self.m[name] = self._m[span].reshape(shape)
+            self.v[name] = self._v[span].reshape(shape)
+            start = span.stop
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """Forecaster tests: IO assembly, sparse attention vs a dense reference,
-distillation block algebra, training behavior, baselines."""
+distillation block algebra, stacked vs per-region passes, training
+behavior, baselines."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from edgeslice import harness
+from edgeslice.config import build_config
 from edgeslice.errors import DivergenceError
 from edgeslice.forecasting import (ForecastConfig, ForecastModel, TrafficSeries,
                                    baseline_forecast, build_io, distill_block,
@@ -19,6 +23,15 @@ def dense_attention_reference(Q, K, V):
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
     attn = e / e.sum(axis=1, keepdims=True)
     return attn @ V, attn
+
+
+class TestTrafficSeries:
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf, -np.inf])
+    def test_invalid_counts_rejected(self, bad):
+        counts = np.ones((2, 5))
+        counts[1, 3] = bad
+        with pytest.raises(ValueError, match="nonnegative|finite"):
+            TrafficSeries(counts)
 
 
 class TestBuildIO:
@@ -186,7 +199,79 @@ class TestForecast:
         assert np.all(out >= 0) and np.all(np.isfinite(out))
 
 
+def grad_names(model):
+    return [n for n in model.params if n not in ("norm_mean", "norm_std")]
+
+
+class TestStackedRegions:
+    """A pass over stacked regions equals one 1-D pass per region, bit for
+    bit: outputs and every parameter gradient, the shared embedding too."""
+
+    @pytest.mark.parametrize("horizon", [1, 3])
+    @pytest.mark.parametrize("slots", list(range(1, 21)) + [63, 64, 65, 159])
+    def test_stacked_equals_per_region(self, slots, horizon):
+        model = ForecastModel(ForecastConfig(), np.random.default_rng(slots))
+        rng = np.random.default_rng(100 + slots)
+        counts = rng.uniform(0, 30, (3, slots))
+        model.params["norm_mean"] = np.asarray(counts.mean())
+        model.params["norm_std"] = np.asarray(max(counts.std(), 1e-6))
+        x_en, x_de = build_io(TrafficSeries(counts), horizon)
+        out, cache = model._forward_region(x_en, x_de, want_cache=True)
+        d_out = np.zeros_like(out)
+        d_out[:, -horizon:] = rng.normal(size=(3, horizon))
+        stacked = {n: np.zeros_like(model.params[n]) for n in grad_names(model)}
+        model._backward_region(cache, d_out, stacked)
+
+        single = {n: np.zeros_like(model.params[n]) for n in grad_names(model)}
+        for r in range(3):
+            out_r, cache_r = model._forward_region(x_en[r], x_de[r], want_cache=True)
+            assert out_r.shape == (x_de.shape[1],)
+            assert out_r.tobytes() == out[r].tobytes()
+            model._backward_region(cache_r, d_out[r], single)
+        for name in single:
+            assert stacked[name].tobytes() == single[name].tobytes(), name
+
+    def test_one_pass_per_window(self, monkeypatch):
+        counts = {"forward": 0, "backward": 0}
+        forward, backward = ForecastModel._forward_region, ForecastModel._backward_region
+
+        def counted(fn, key):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+        monkeypatch.setattr(ForecastModel, "_forward_region", counted(forward, "forward"))
+        monkeypatch.setattr(ForecastModel, "_backward_region", counted(backward, "backward"))
+        model = small_model(seed=19)
+        series = TrafficSeries(np.random.default_rng(6).uniform(0, 9, (3, 12)),
+                               history_window=16, current_window=4)
+        fit(model, series, epochs=2, lr=1e-3, rng=np.random.default_rng(0))
+        windows = 2 * (12 - 4)
+        assert counts == {"forward": windows, "backward": windows}
+        forecast(model, series, 2)
+        assert counts["forward"] == windows + 1
+
+
 class TestFit:
+    def test_golden_training_bits(self):
+        # sha256 over the loss trace, parameters and Adam moments of a small
+        # training run, pinned when every region took its own pass.  Like
+        # sliceoff's outputs, the last bits depend on the BLAS kernel.
+        cfg = build_config({"regions": 3, "forecaster": {
+            "width": 8, "encoder_layers": 2, "head_hidden": 8,
+            "history_window": 16, "current_window": 4, "epochs": 2, "lr": 1e-3}})
+        model, trace = harness.train_forecaster(cfg, seed=5, history_slots=40)
+        digest = hashlib.sha256()
+        digest.update(repr(trace).encode())
+        for name in sorted(model.params):
+            digest.update(name.encode() + model.params[name].tobytes())
+        for name in sorted(model.adam.m):
+            digest.update(name.encode() + model.adam.m[name].tobytes()
+                          + model.adam.v[name].tobytes())
+        digest.update(repr(model.adam.step).encode())
+        assert digest.hexdigest() == \
+            "6ff5163a7e933b832fa7cccb7515d439cd7923b6ea6ebb3894a40a5fbe43ba12"
+
     def test_zero_epochs_leaves_parameters_bit_identical(self):
         model = small_model(seed=7)
         before = {k: v.copy() for k, v in model.params.items()}

@@ -703,6 +703,47 @@ class TestCli:
         assert result.exit_code == 2, result.output
         assert "error:" in result.output and "frequency" in result.output
 
+    def reshape_array(self, path, name, shape):
+        """Rewrite one stored array with a new shape, metadata unchanged."""
+        arrays, meta = checkpoint.load_arrays(path)
+        arrays[name] = np.ones(shape)
+        checkpoint.save_arrays(path, arrays, meta)
+
+    @pytest.mark.parametrize("name,shape", [
+        ("actor.w0", (12, 5)), ("critic2.b1", (2,)), ("state_scale", (3,))])
+    def test_wrong_shape_agent_array_exit_code_2(self, tmp_path, name, shape):
+        config_path = write_config(tmp_path, small_doc())
+        path = self.write_agent(tmp_path, build_config(small_doc()))
+        built = checkpoint.load_arrays(path)[0][name].shape
+        self.reshape_array(path, name, shape)
+        result = CliRunner().invoke(cli_main, [
+            "compare", "--config", config_path, "--policies", "sliceoff",
+            "--seeds", "0", "--out", str(tmp_path / "cmp"),
+            "--agent-checkpoint", str(path)])
+        assert result.exit_code == 2, result.output
+        assert "error:" in result.output and "agent.ckpt" in result.output
+        assert repr(name) in result.output
+        assert str(shape) in result.output and str(built) in result.output
+
+    @pytest.mark.parametrize("name,shape", [
+        ("head_w0", (8, 9)), ("dist0_kernel", (2, 8, 8)), ("norm_std", (1,))])
+    def test_wrong_shape_forecaster_array_exit_code_2(self, tmp_path, name, shape):
+        cfg = build_config(small_doc())
+        config_path = write_config(tmp_path, small_doc())
+        path = tmp_path / "forecaster.ckpt"
+        ForecastModel(cfg.forecaster, np.random.default_rng(0)).save(path)
+        built = checkpoint.load_arrays(path)[0][name].shape
+        self.reshape_array(path, name, shape)
+        result = CliRunner().invoke(cli_main, [
+            "compare", "--config", config_path, "--policies", "sliceoff",
+            "--seeds", "0", "--out", str(tmp_path / "cmp"),
+            "--agent-checkpoint", str(self.write_agent(tmp_path, cfg)),
+            "--forecaster-checkpoint", str(path)])
+        assert result.exit_code == 2, result.output
+        assert "error:" in result.output and "forecaster.ckpt" in result.output
+        assert repr(name) in result.output
+        assert str(shape) in result.output and str(built) in result.output
+
     @pytest.mark.parametrize("args", [
         ["run", "--policy", "greedy", "--seed", "-1"],
         ["compare", "--policies", "greedy", "--seeds", "0,-1"],

@@ -303,3 +303,53 @@ class TestAdamState:
     def test_unknown_activation_rejected(self):
         with pytest.raises(ValueError):
             activation("swish")
+
+    def test_moments_are_views_into_flat_buffers(self):
+        rng = np.random.default_rng(35)
+        params = {"w": rng.normal(size=(3, 2)), "b": rng.normal(size=2)}
+        adam = AdamState()
+        m = {k: np.zeros_like(v) for k, v in params.items()}
+        v2 = {k: np.zeros_like(v) for k, v in params.items()}
+        for _ in range(3):
+            grads = {k: rng.normal(size=p.shape) for k, p in params.items()}
+            adam.apply(params, grads, lr=1e-2)
+            for k, g in grads.items():
+                m[k] = 0.9 * m[k] + (1.0 - 0.9) * g
+                v2[k] = 0.999 * v2[k] + (1.0 - 0.999) * g * g
+        for k in params:
+            assert adam.m[k].shape == params[k].shape
+            assert np.array_equal(adam.m[k], m[k])
+            assert np.array_equal(adam.v[k], v2[k])
+        # One flat buffer per moment, split without overlap.
+        assert adam.m["w"].base is adam.m["b"].base is not None
+        assert not np.shares_memory(adam.m["w"], adam.m["b"])
+
+    @pytest.mark.parametrize("later", [
+        {"w": np.ones((2, 2))},                                   # one missing
+        {"w": np.ones((2, 2)), "c": np.ones(3)},                  # renamed
+        {"w": np.ones((2, 2)), "b": np.ones(4)},                  # reshaped
+        {"w": np.ones(4), "b": np.ones(3)},                       # same size, new shape
+        {"b": np.ones(3), "w": np.ones((2, 2))},                  # reordered
+        {"w": np.ones((2, 2)), "b": np.ones(3), "c": np.ones(1)},  # one added
+    ])
+    def test_layout_fixed_by_first_update(self, later):
+        params = {"w": np.zeros((2, 2)), "b": np.zeros(3), "c": np.zeros(3)}
+        adam = AdamState()
+        adam.apply(params, {"w": np.ones((2, 2)), "b": np.ones(3)}, lr=0.1)
+        before = ({k: v.copy() for k, v in params.items()},
+                  {k: v.copy() for k, v in adam.m.items()})
+        with pytest.raises(ValueError, match="layout"):
+            adam.apply(params, later, lr=0.1)
+        assert adam.step == 1
+        assert all(np.array_equal(before[0][k], params[k]) for k in params)
+        assert all(np.array_equal(before[1][k], adam.m[k]) for k in adam.m)
+
+    def test_non_finite_error_names_first_bad_parameter(self):
+        params = {"a": np.zeros(2), "b": np.zeros(2), "c": np.zeros(2)}
+        adam = AdamState()
+        grads = {"a": np.ones(2), "b": np.array([1.0, np.nan]),
+                 "c": np.array([np.inf, 1.0])}
+        with pytest.raises(DivergenceError, match="'b'"):
+            adam.apply(params, grads, lr=0.1)
+        assert adam.step == 0 and not adam.m
+        assert all(not p.any() for p in params.values())
