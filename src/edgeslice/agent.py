@@ -6,7 +6,8 @@ and, under one fixed placement (least-loaded VM in list order, starting
 from the region's per-VM backlog), its VM, the queue ahead of it and the
 minimal bandwidth share that meets its deadline behind that queue.  The
 actor learns one bandwidth fraction per task; its VM selectors are the
-observation's placement.
+observation's placement.  The actor and critic nets run on occupied task
+slots only: a padded slot gets no row, a zero fraction and no score.
 
 Two peer agents explore the allocation problem from differently seeded
 environments.  Each runs clipped-noise target smoothing, a min-of-two-target
@@ -204,9 +205,9 @@ class AgentHyperparams:
 # Permutation-equivariant actor / critic blocks
 #
 # Rewards decompose per user, so both networks apply one shared dense block
-# to every padded user slot (its own demand features plus instance-level
+# to every occupied user slot (its own demand features plus instance-level
 # aggregates) instead of learning separate weights per slot position.  The
-# critic's Q-value is the mask-weighted sum of per-slot outputs.
+# critic's Q-value is the sum of its outputs over a sample's occupied slots.
 # ---------------------------------------------------------------------------
 
 _STATE_COLS = 16   # per-slot state features fed to both blocks
@@ -218,14 +219,16 @@ class _Features:
     """One batch of observations featurised for a block configuration.
 
     Built once per batch by `_TaskBlock._state_rows` and shared by every
-    actor and critic pass over it.  The critic's action-dependent rows are
-    memoised for the last ``actions`` array (by identity), so twin critics
-    scoring the same actions build them once."""
+    actor and critic pass over it.  Only occupied task slots get a row: the
+    nets never see a padded slot.  ``valid`` lists the occupied slots as
+    flat indices into the (K, n_max) slot grid, in row order.  The critic's
+    action-dependent rows are memoised for the last ``actions`` array (by
+    identity), so twin critics scoring the same actions build them once."""
 
     states: np.ndarray     # (K, state_dim) raw observations
-    rows: np.ndarray       # (K, n_max, _STATE_COLS) per-slot state features
-    mask: np.ndarray       # (K, n_max) validity
-    need: np.ndarray       # (K, n_max) minimal bandwidth share at the placement
+    valid: np.ndarray      # (V,) flat indices of the occupied slots
+    rows: np.ndarray       # (V, _STATE_COLS) state features of occupied slots
+    need: np.ndarray       # (V,) minimal bandwidth share at the placement
     selectors: np.ndarray  # (K, n_max) the placement's VM selectors
     k: int
     config: tuple          # (n_max, state_scale) it was built for
@@ -286,7 +289,9 @@ class _TaskBlock:
         rows[:, :, 13] = np.minimum(block("exe"), _SHARE_CAP)    # execution share
         rows[:, :, 14] = np.minimum(block("queue"), _SHARE_CAP)  # queue ahead
         rows[:, :, 15] = np.minimum(block("cumulative"), 4.0)   # admitted before
-        return _Features(states, rows, mask, need, block("selector"), k,
+        valid = np.flatnonzero(mask)
+        return _Features(states, valid, rows.reshape(k * n, _STATE_COLS)[valid],
+                         need.ravel()[valid], block("selector"), k,
                          (n, self.state_scale))
 
     def _features(self, states) -> _Features:
@@ -303,7 +308,8 @@ class _TaskBlock:
 
 class TaskBlockActor(_TaskBlock):
     """Maps observations to [0,1]^(2*n_max): one learned bandwidth fraction
-    per task slot, then the observation's VM selectors."""
+    per occupied task slot (0 on padded slots), then the observation's VM
+    selectors."""
 
     def copy(self) -> "TaskBlockActor":
         return TaskBlockActor(self.net.copy(), self.n_max, self.state_scale,
@@ -315,33 +321,35 @@ class TaskBlockActor(_TaskBlock):
         single = not isinstance(states, _Features) and np.asarray(states).ndim == 1
         feats = self._features(states)
         k = feats.k
-        flat = feats.rows.reshape(k * self.n_max, _STATE_COLS)
-        out, cache = self.net.forward(flat, return_cache=True)
-        actions = np.concatenate([out.reshape(k, self.n_max), feats.selectors],
+        out, cache = self.net.forward(feats.rows, return_cache=True)
+        fractions = np.zeros(k * self.n_max)
+        fractions[feats.valid] = out[:, 0]
+        actions = np.concatenate([fractions.reshape(k, self.n_max), feats.selectors],
                                  axis=1)
         if single:
             actions = actions[0]
         if return_cache:
-            return actions, {"net": cache, "k": k, "single": single}
+            return actions, {"net": cache, "valid": feats.valid}
         return actions
 
     def backward(self, cache, d_actions: np.ndarray) -> dict:
-        """Parameter gradients; only the fraction half of ``d_actions``
-        reaches the net, the selectors being read from the observation."""
+        """Parameter gradients; only the occupied slots' fractions in
+        ``d_actions`` reach the net, the selectors being read from the
+        observation."""
         d_actions = np.atleast_2d(np.asarray(d_actions, dtype=float))
-        k, n = cache["k"], self.n_max
-        grads, _ = self.net.backward(cache["net"], d_actions[:, :n].reshape(k * n, 1),
-                                     input_grad=False)
+        d_out = d_actions[:, :self.n_max].reshape(-1)[cache["valid"]]
+        grads, _ = self.net.backward(cache["net"], d_out[:, None], input_grad=False)
         return grads
 
 
 class TaskBlockCritic(_TaskBlock):
-    """Q(s, a) as a masked sum of per-slot scores.
+    """Q(s, a) as a sum of per-slot scores over the occupied slots.
 
-    Each slot sees the shared state features plus its own fraction, the
-    total committed fraction, and its post-projection allocated-over-needed
-    bandwidth margin.  Fractions of padded slots, which `decode_action`
-    drops, count for nothing; VM selectors are the observation's."""
+    Each occupied slot sees the shared state features plus its own
+    fraction, the total committed fraction, and its post-projection
+    allocated-over-needed bandwidth margin.  Padded slots get no row, so
+    their fractions, which `decode_action` drops, count for nothing; VM
+    selectors are the observation's."""
 
     IN_COLS = _STATE_COLS + 3
 
@@ -354,20 +362,22 @@ class TaskBlockCritic(_TaskBlock):
             return feats.critic_rows
         action_arr = np.atleast_2d(np.asarray(actions, dtype=float))
         k, n = feats.k, self.n_max
-        fractions = action_arr[:, :n] * feats.mask
-        total = fractions.sum(axis=1)
+        sample = feats.valid // n
+        fractions = action_arr[:, :n].reshape(-1)[feats.valid]
+        total = np.bincount(sample, fractions, minlength=k)
         denom = np.maximum(total, 1.0)
         ratio = 1.0 / np.maximum(feats.need, 1e-9)
-        margin_raw = fractions * ratio / denom[:, None]
+        margin_raw = fractions * ratio / denom[sample]
         clipped = margin_raw > _MARGIN_CAP
         margin = np.where(clipped, _MARGIN_CAP, margin_raw)
-        rows = np.empty((k, n, self.IN_COLS))
-        rows[:, :, :_STATE_COLS] = feats.rows
-        rows[:, :, _STATE_COLS + 0] = fractions
-        rows[:, :, _STATE_COLS + 1] = total[:, None]
-        rows[:, :, _STATE_COLS + 2] = margin
-        aux = {"mask": feats.mask, "fractions": fractions, "total": total,
-               "denom": denom, "ratio": ratio, "clipped": clipped, "k": k}
+        rows = np.empty((feats.valid.size, self.IN_COLS))
+        rows[:, :_STATE_COLS] = feats.rows
+        rows[:, _STATE_COLS + 0] = fractions
+        rows[:, _STATE_COLS + 1] = total[sample]
+        rows[:, _STATE_COLS + 2] = margin
+        aux = {"valid": feats.valid, "sample": sample, "fractions": fractions,
+               "total": total, "denom": denom, "ratio": ratio,
+               "clipped": clipped, "k": k}
         feats.actions, feats.critic_rows = actions, (rows, aux)
         return rows, aux
 
@@ -375,10 +385,8 @@ class TaskBlockCritic(_TaskBlock):
         """``states``: raw observations or a `_Features` holder; ``actions``
         must not be changed in place while a holder memoises it."""
         rows, aux = self._rows(self._features(states), actions)
-        k, n = aux["k"], self.n_max
-        out, cache = self.net.forward(rows.reshape(k * n, self.IN_COLS),
-                                      return_cache=True)
-        values = (out.reshape(k, n) * aux["mask"]).sum(axis=1)
+        out, cache = self.net.forward(rows, return_cache=True)
+        values = np.bincount(aux["sample"], out[:, 0], minlength=aux["k"])
         if return_cache:
             return values, {"net": cache, "aux": aux}
         return values
@@ -386,31 +394,32 @@ class TaskBlockCritic(_TaskBlock):
     def backward(self, cache, d_values: np.ndarray, *, action_grad: bool = True):
         """Gradients of sum(d_values * Q) w.r.t. parameters and actions; the
         action gradient is None, and not computed, when ``action_grad`` is
-        false.  Selectors get a zero gradient."""
+        false.  Selectors and padded fractions get a zero gradient."""
         aux = cache["aux"]
-        k, n = aux["k"], self.n_max
+        k, n, sample = aux["k"], self.n_max, aux["sample"]
         d_values = np.asarray(d_values, dtype=float).reshape(k)
-        d_out = (d_values[:, None] * aux["mask"]).reshape(k * n, 1)
-        grads, d_rows_flat = self.net.backward(cache["net"], d_out,
-                                               input_grad=action_grad)
+        grads, d_rows = self.net.backward(cache["net"], d_values[sample][:, None],
+                                          input_grad=action_grad)
         if not action_grad:
             return grads, None
-        d_rows = d_rows_flat.reshape(k, n, self.IN_COLS)
-        d_frac = d_rows[:, :, _STATE_COLS + 0].copy()
+        d_frac = d_rows[:, _STATE_COLS + 0].copy()
         # Total-commitment column reaches every fraction of the sample.
-        d_frac += d_rows[:, :, _STATE_COLS + 1].sum(axis=1, keepdims=True)
+        d_frac += np.bincount(sample, d_rows[:, _STATE_COLS + 1], minlength=k)[sample]
         # Margin column: m_j = f_j * ratio_j / max(1, sum f).
-        d_margin = np.where(aux["clipped"], 0.0, d_rows[:, :, _STATE_COLS + 2])
+        d_margin = np.where(aux["clipped"], 0.0, d_rows[:, _STATE_COLS + 2])
         denom = aux["denom"]
-        d_frac += d_margin * aux["ratio"] / denom[:, None]
+        d_frac += d_margin * aux["ratio"] / denom[sample]
         over = aux["total"] > 1.0
         if np.any(over):
             # d m_j / d f_i = -f_j ratio_j / S^2 for every i when S > 1.
-            coeff = (d_margin * aux["fractions"] * aux["ratio"]).sum(axis=1)
+            coeff = np.bincount(sample, d_margin * aux["fractions"] * aux["ratio"],
+                                minlength=k)
             correction = np.where(over, coeff / denom ** 2, 0.0)
-            d_frac -= correction[:, None]
+            d_frac -= correction[sample]
+        d_fractions = np.zeros(k * n)
+        d_fractions[aux["valid"]] = d_frac
         d_actions = np.zeros((k, 2 * n))
-        d_actions[:, :n] = d_frac * aux["mask"]
+        d_actions[:, :n] = d_fractions.reshape(k, n)
         return grads, d_actions
 
 
@@ -570,7 +579,11 @@ def distill(current: AgentBundle, peer: AgentBundle, batch,
     A vanilla step (not adaptive moments) keeps the update magnitude
     proportional to the confidence weight, so near-zero weights leave the
     parameters essentially untouched.  Weights far above 1 are normalized
-    batch-wide, preserving their relative ordering."""
+    batch-wide, preserving their relative ordering.
+
+    The regression covers occupied task slots only: both actors output 0 on
+    padded slots and the same selectors everywhere, so those entries add
+    nothing to the loss or its gradient."""
     feats = current.actor._features(batch[0])
     k = feats.k
     # Each actor runs once: its action is both the one its twin critics

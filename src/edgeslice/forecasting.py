@@ -256,12 +256,24 @@ class ForecastConfig:
     current_window: int = 8
 
 
+_PE_TABLES: dict = {}  # width -> read-only encoding of the longest length asked
+
+
 def _positional_encoding(length: int, width: int) -> np.ndarray:
-    pos = np.arange(length)[:, None]
-    dim = np.arange(width)[None, :]
-    angle = pos / np.power(10000.0, (2 * (dim // 2)) / width)
-    pe = np.where(dim % 2 == 0, np.sin(angle), np.cos(angle))
-    return pe
+    """Sinusoidal (length, width) encoding as a read-only view.
+
+    Row ``p`` depends only on ``p`` and ``width``, so each width keeps one
+    table, rebuilt only when a longer sequence arrives, and every shorter
+    length is a prefix of it: training cuts of many lengths share it."""
+    table = _PE_TABLES.get(width)
+    if table is None or len(table) < length:
+        pos = np.arange(length)[:, None]
+        dim = np.arange(width)[None, :]
+        angle = pos / np.power(10000.0, (2 * (dim // 2)) / width)
+        table = np.where(dim % 2 == 0, np.sin(angle), np.cos(angle))
+        table.flags.writeable = False
+        _PE_TABLES[width] = table
+    return table[:length]
 
 
 class ForecastModel:

@@ -19,19 +19,28 @@ def region_of(tasks, bandwidth=4e6, vm_count=2):
                        frequency=1e9, tasks=tasks, pending=(0.0,) * vm_count)
 
 
+def random_region(n, rng):
+    """A region of n random tasks with random bandwidth and VM count."""
+    return region_of([TaskSpec(rng.uniform(1e5, 8e5), rng.uniform(50, 300),
+                               float(rng.choice([1, 2, 3])), rng.uniform(1, 3))
+                      for _ in range(n)],
+                     bandwidth=rng.uniform(1e6, 6e6),
+                     vm_count=int(rng.integers(1, 4)))
+
+
 def make_states(k, rng, n_max=N_MAX):
     """Realistic raw observation batch."""
     states = np.zeros((k, A.state_dim(n_max)))
     for i in range(k):
-        n = int(rng.integers(1, n_max + 1))
-        region = region_of([TaskSpec(rng.uniform(1e5, 8e5), rng.uniform(50, 300),
-                                     float(rng.choice([1, 2, 3])),
-                                     rng.uniform(1, 3))
-                            for _ in range(n)],
-                           bandwidth=rng.uniform(1e6, 6e6),
-                           vm_count=int(rng.integers(1, 4)))
+        region = random_region(int(rng.integers(1, n_max + 1)), rng)
         states[i] = A.encode_state(region, RADIO, ECON, n_max)
     return states
+
+
+def states_with_counts(counts, rng):
+    """Observations whose samples hold the given numbers of tasks."""
+    return np.array([A.encode_state(random_region(n, rng), RADIO, ECON, N_MAX)
+                     for n in counts])
 
 
 def make_batch(k, rng, n_max=N_MAX):
@@ -660,3 +669,125 @@ class TestObservedService:
         checkpoint.save_arrays(path, arrays, meta)
         with pytest.raises(CheckpointError, match="state_scale"):
             A.load_agent(path)
+
+
+class TestOccupiedSlots:
+    """The nets run on occupied task slots only.  A padded reference sends
+    every (sample, slot) row through the same network, with arbitrary rows
+    on padded slots, and masks the result; the compact path must agree."""
+
+    BATCHES = {"empty": [0, 0, 0], "one_slot": [0, 1, 0],
+               "full": [N_MAX] * 4, "mixed": [2, 0, N_MAX, 1, 3]}
+
+    def padded(self, block, states, rng):
+        """(mask, need, padded state rows) of a batch: occupied rows are the
+        block's features, padded rows noise."""
+        feats = block._state_rows(states)
+        mask = states[:, A._block(N_MAX, "mask")]
+        assert np.array_equal(feats.valid, np.flatnonzero(mask))
+        rows = rng.normal(size=(mask.size, A._STATE_COLS))
+        rows[mask.ravel() > 0] = feats.rows
+        return mask, states[:, A._block(N_MAX, "need")], rows
+
+    @pytest.mark.parametrize("counts", BATCHES.values(), ids=BATCHES.keys())
+    def test_actor_matches_padded_reference(self, counts):
+        rng = np.random.default_rng(70)
+        actor = default_agent(rng).actor
+        states = states_with_counts(counts, rng)
+        mask, _, rows = self.padded(actor, states, rng)
+        actions, cache = actor.forward(states, return_cache=True)
+        out, ref_cache = actor.net.forward(rows, return_cache=True)
+        occupied = mask > 0
+        np.testing.assert_allclose(actions[:, :N_MAX][occupied],
+                                   out.reshape(mask.shape)[occupied], rtol=1e-12)
+        assert np.all(actions[:, :N_MAX][~occupied] == 0.0)
+        assert np.array_equal(actions[:, N_MAX:], states[:, A._block(N_MAX, "selector")])
+        upstream = rng.normal(size=actions.shape)
+        ref_grads, _ = actor.net.backward(
+            ref_cache, (upstream[:, :N_MAX] * mask).reshape(-1, 1), input_grad=False)
+        grads = actor.backward(cache, upstream)
+        for name in ref_grads:
+            np.testing.assert_allclose(grads[name], ref_grads[name], rtol=1e-10,
+                                       atol=1e-15)
+
+    @pytest.mark.parametrize("counts", BATCHES.values(), ids=BATCHES.keys())
+    def test_critic_matches_padded_reference(self, counts):
+        rng = np.random.default_rng(71)
+        critic = default_agent(rng).critic1
+        states = states_with_counts(counts, rng)
+        mask, need, state_rows = self.padded(critic, states, rng)
+        k = len(counts)
+        # Over-committed samples exercise the margin's 1/S^2 term.
+        actions = rng.uniform(0.0, 0.8, size=(k, A.action_dim(N_MAX)))
+        d_values = rng.normal(size=k)
+        values, cache = critic.forward(states, actions, return_cache=True)
+        grads, d_actions = critic.backward(cache, d_values)
+
+        fractions = actions[:, :N_MAX] * mask
+        total = fractions.sum(axis=1)
+        denom = np.maximum(total, 1.0)
+        ratio = 1.0 / np.maximum(need, 1e-9)
+        margin = fractions * ratio / denom[:, None]
+        clipped = margin > A._MARGIN_CAP
+        rows = np.concatenate([
+            state_rows.reshape(k, N_MAX, -1), fractions[..., None],
+            np.broadcast_to(total[:, None, None], (k, N_MAX, 1)),
+            np.minimum(margin, A._MARGIN_CAP)[..., None]], axis=2)
+        out, ref_cache = critic.net.forward(rows.reshape(k * N_MAX, -1),
+                                            return_cache=True)
+        np.testing.assert_allclose(values, (out.reshape(k, N_MAX) * mask).sum(axis=1),
+                                   rtol=1e-10)
+        ref_grads, d_rows = critic.net.backward(
+            ref_cache, (d_values[:, None] * mask).reshape(-1, 1))
+        for name in ref_grads:
+            np.testing.assert_allclose(grads[name], ref_grads[name], rtol=1e-10,
+                                       atol=1e-15)
+        # Action gradient through the Jacobian of the three action columns:
+        # d m_j / d f_i = ratio_j / D [i == j] - [S > 1] f_j ratio_j / S^2.
+        d_rows = d_rows.reshape(k, N_MAX, -1)
+        jac = np.eye(N_MAX) * (ratio / denom[:, None])[:, :, None]
+        jac -= (np.where(total > 1.0, 1.0 / denom ** 2, 0.0)[:, None, None]
+                * (fractions * ratio)[:, :, None])
+        jac *= ~clipped[:, :, None]
+        d_frac = (d_rows[:, :, -3] + d_rows[:, :, -2].sum(axis=1, keepdims=True)
+                  + np.einsum("kj,kji->ki", d_rows[:, :, -1], jac))
+        np.testing.assert_allclose(d_actions[:, :N_MAX], d_frac * mask,
+                                   rtol=1e-10, atol=1e-15)
+        assert np.all(d_actions[:, N_MAX:] == 0.0)
+
+    def test_act_on_a_region_without_tasks(self):
+        agent = default_agent(np.random.default_rng(72))
+        obs = A.encode_state(region_of([]), RADIO, ECON, N_MAX)
+        assert np.all(A.act(agent, obs, explore=False) == 0.0)
+
+    def test_distill_matches_occupied_slot_reference(self):
+        rng = np.random.default_rng(73)
+        current = default_agent(np.random.default_rng(74))
+        peer = default_agent(np.random.default_rng(75))
+        states = states_with_counts([2, 0, N_MAX, 1, 3, 1], rng)
+        feats = current.actor._state_rows(states)
+        sample = np.flatnonzero(states[:, A._block(N_MAX, "mask")]) // N_MAX
+        k = len(states)
+        ours, cache = current.actor.net.forward(feats.rows, return_cache=True)
+        theirs = peer.actor.net.forward(feats.rows)
+        xi = A.value_estimate(peer, feats) - A.value_estimate(current, feats)
+        w = A.distill_weight(current.distill_alpha, xi)
+        w = w / max(1.0, float(w.mean()))
+        diff = (ours - theirs)[:, 0]
+        ref_loss = 0.5 * (np.bincount(sample, diff ** 2, minlength=k) * w).mean()
+        ref_grads, _ = current.actor.net.backward(
+            cache, (diff * w[sample] / k)[:, None], input_grad=False)
+
+        seen = {}
+        backward = current.actor.backward
+
+        def spy(actor_cache, d_actions):
+            seen.update(backward(actor_cache, d_actions))
+            return dict(seen)
+
+        current.actor.backward = spy
+        loss = A.distill(current, peer, (states, None, None, None), lr=1e-2)
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        for name in ref_grads:
+            np.testing.assert_allclose(seen[name], ref_grads[name], rtol=1e-10,
+                                       atol=1e-15)

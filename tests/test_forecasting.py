@@ -12,7 +12,7 @@ from edgeslice import harness
 from edgeslice.config import build_config
 from edgeslice.errors import DivergenceError
 from edgeslice.forecasting import (ForecastConfig, ForecastModel, TrafficSeries,
-                                   baseline_forecast, build_io, distill_block,
+                                   _positional_encoding, baseline_forecast, build_io, distill_block,
                                    fit, forecast, probsparse_attention,
                                    sparsity_measure, top_u_queries)
 
@@ -375,3 +375,18 @@ class TestCheckpointRoundTrip:
         path.write_text("NOT-A-CHECKPOINT\n{}\n")
         with pytest.raises(ValueError):
             ForecastModel.load(path)
+
+
+def test_positional_encoding_is_a_shared_read_only_prefix():
+    def direct(length, width):
+        pos = np.arange(length)[:, None]
+        dim = np.arange(width)[None, :]
+        angle = pos / np.power(10000.0, (2 * (dim // 2)) / width)
+        return np.where(dim % 2 == 0, np.sin(angle), np.cos(angle))
+
+    short = _positional_encoding(5, 6)
+    for length in (5, 40, 3):
+        pe = _positional_encoding(length, 6)
+        assert np.array_equal(pe, direct(length, 6))
+        assert not pe.flags.writeable
+    assert np.array_equal(short, direct(5, 6))

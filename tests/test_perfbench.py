@@ -88,3 +88,17 @@ def test_training_spans_fire_and_each_batch_is_featurised_once():
             updates += 1
     assert pending == 0
     assert updates > 20
+
+
+def test_suite_runs_blas_on_one_thread():
+    """conftest.py pins BLAS before numpy loads; the thread count is read
+    from the loaded OpenBLAS the way the benchmark records it."""
+    import numpy  # noqa: F401  (loads the BLAS whose count is read)
+    import pytest
+
+    from perfbench.run import _blas_threads
+
+    threads = _blas_threads()
+    if threads is None:
+        pytest.skip("numpy did not load OpenBLAS")
+    assert threads == 1
