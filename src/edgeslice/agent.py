@@ -9,6 +9,12 @@ actor learns one bandwidth fraction per task; its VM selectors are the
 observation's placement.  The actor and critic nets run on occupied task
 slots only: a padded slot gets no row, a zero fraction and no score.
 
+The six nets (actor, twin critics and their targets) hold float32
+parameters and Adam moments, and their feature rows are float32; the
+observations, replay buffer, actions, rewards and value estimates stay
+float64.  A checkpoint's nets load from float32 or float64 arrays and are
+cast to float32.
+
 Two peer agents explore the allocation problem from differently seeded
 environments.  Each runs clipped-noise target smoothing, a min-of-two-target
 TD backup, critic regression every step, and actor / target / distillation
@@ -19,6 +25,7 @@ twin-critic value over one's own.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -212,6 +219,31 @@ class AgentHyperparams:
 
 _STATE_COLS = 16   # per-slot state features fed to both blocks
 _MARGIN_CAP = 6.0  # allocated-over-needed ratio is clipped here
+# Feature columns divided by the state scale: the four region scalars and
+# the slot's rate and compute demand.
+_SCALED = np.arange(_STATE_COLS) < 6
+# Per feature column, the cap on the value copied from the observation:
+# the execution share, the queue ahead and the share admitted before.
+_ROW_CAPS = np.full(_STATE_COLS, np.inf)
+_ROW_CAPS[13:16] = (_SHARE_CAP, _SHARE_CAP, 4.0)
+
+
+@functools.cache
+def _layout(n_max: int) -> tuple:
+    """A flat observation's columns, resolved once per ``n_max``: every
+    `_BLOCKS` block's slice, and an (n_max, _STATE_COLS) table of the
+    observation column each feature of a slot's row copies.  Features 7 and
+    9-11 are computed per batch; the table points them at column 0.
+    Callers must not write to either."""
+    slices = {name: _block(n_max, name) for name in _BLOCKS}
+    own = {name: s.start + np.arange(n_max)[:, None] for name, s in slices.items()}
+    region = [np.full((n_max, 1), col) for col in (0, 1, 2, 3 + 2 * n_max)]
+    computed = np.zeros((n_max, 1), int)
+    sources = np.hstack([*region, own["rate"], own["compute"], own["mask"],
+                         computed, own["need"], computed, computed, computed,
+                         own["priority"], own["exe"], own["queue"],
+                         own["cumulative"]])
+    return slices, sources
 
 
 @dataclass(eq=False)
@@ -231,7 +263,7 @@ class _Features:
     need: np.ndarray       # (V,) minimal bandwidth share at the placement
     selectors: np.ndarray  # (K, n_max) the placement's VM selectors
     k: int
-    config: tuple          # (n_max, state_scale) it was built for
+    config: tuple          # (n_max, state_scale, rows' dtype) it was built for
     actions: np.ndarray | None = None
     critic_rows: tuple | None = None
 
@@ -258,50 +290,45 @@ class _TaskBlock:
         self.net.apply_gradients(grads, lr)
 
     def _state_rows(self, states: np.ndarray) -> _Features:
-        """Featurise raw observations into rows shared by actor and critic."""
+        """Featurise raw observations into rows shared by actor and critic.
+
+        The features are computed in float64 from the occupied slots'
+        entries and the per-sample sums, then stored in the net's dtype."""
         states = np.atleast_2d(np.asarray(states, dtype=float))
-        scaled = states / self.state_scale
-        k, n = states.shape[0], self.n_max
-
-        def block(name, source=states):
-            return source[:, _block(n, name)]
-
-        mask = block("mask")
-        need = block("need")
-        rows = np.empty((k, n, _STATE_COLS))
-        rows[:, :, 0] = scaled[:, [0]]                      # rented bandwidth
-        rows[:, :, 1] = scaled[:, [1]]                      # rented VMs
-        rows[:, :, 2] = scaled[:, [2]]                      # user count
-        rows[:, :, 3] = scaled[:, [3 + 2 * n]]              # upload power
-        rows[:, :, 4] = block("rate", scaled)               # own rate demand
-        compute = block("compute", scaled)
-        rows[:, :, 5] = compute                             # own compute demand
-        rows[:, :, 6] = mask                                # validity
-        rows[:, :, 7] = np.arange(n) / n                    # slot position
-        rows[:, :, 8] = need                                # needed budget share
-        rows[:, :, 9] = np.minimum(need.sum(axis=1, keepdims=True), 4.0)
-        rows[:, :, 10] = (compute.sum(axis=1, keepdims=True)
-                          / np.maximum(states[:, [1]], 1.0))
-        rank = np.argsort(np.argsort(need + (1 - mask) * 99.0, axis=1,
-                                     kind="stable"), axis=1, kind="stable")
-        rows[:, :, 11] = rank / n                           # cheapness rank
-        rows[:, :, 12] = block("priority")                  # revenue weight
-        rows[:, :, 13] = np.minimum(block("exe"), _SHARE_CAP)    # execution share
-        rows[:, :, 14] = np.minimum(block("queue"), _SHARE_CAP)  # queue ahead
-        rows[:, :, 15] = np.minimum(block("cumulative"), 4.0)   # admitted before
+        k, n, scale = states.shape[0], self.n_max, self.state_scale
+        blocks, sources = _layout(n)
+        mask = states[:, blocks["mask"]]
+        need_grid = states[:, blocks["need"]]
+        compute_grid = states[:, blocks["compute"]] / scale[blocks["compute"]]
         valid = np.flatnonzero(mask)
-        return _Features(states, valid, rows.reshape(k * n, _STATE_COLS)[valid],
-                         need.ravel()[valid], block("selector"), k,
-                         (n, self.state_scale))
+        sample, slot = np.divmod(valid, n)
+        # Copied features: region scalars, then the slot's own entries
+        # (rate, compute, mask, need, priority, execution share, queue,
+        # cumulative share).  Dividing by 1.0 and capping at inf are exact.
+        divisor = np.where(_SCALED, scale[sources], 1.0)
+        rows = states.reshape(-1)[(sample * states.shape[1])[:, None] + sources[slot]]
+        rows /= divisor[slot]
+        np.minimum(rows, _ROW_CAPS, out=rows)
+        rows[:, 7] = slot / n                               # slot position
+        rows[:, 9] = np.minimum(need_grid.sum(axis=1), 4.0)[sample]
+        rows[:, 10] = (compute_grid.sum(axis=1)
+                       / np.maximum(states[:, 1], 1.0))[sample]
+        rank = np.argsort(np.argsort(need_grid + (1 - mask) * 99.0, axis=1,
+                                     kind="stable"), axis=1, kind="stable")
+        rows[:, 11] = rank.ravel()[valid] / n               # cheapness rank
+        return _Features(states, valid, rows.astype(self.net.dtype), rows[:, 8],
+                         states[:, blocks["selector"]], k,
+                         (n, scale, self.net.dtype))
 
     def _features(self, states) -> _Features:
         """``states`` as features for this block: a holder built for the same
-        n_max and scale is reused, anything else featurised."""
+        n_max, scale and dtype is reused, anything else featurised."""
         if not isinstance(states, _Features):
             return self._state_rows(states)
-        n_max, scale = states.config
-        if n_max == self.n_max and (scale is self.state_scale
-                                    or np.array_equal(scale, self.state_scale)):
+        n_max, scale, dtype = states.config
+        if (n_max == self.n_max and dtype == self.net.dtype
+                and (scale is self.state_scale
+                     or np.array_equal(scale, self.state_scale))):
             return states
         return self._state_rows(states.states)
 
@@ -370,7 +397,7 @@ class TaskBlockCritic(_TaskBlock):
         margin_raw = fractions * ratio / denom[sample]
         clipped = margin_raw > _MARGIN_CAP
         margin = np.where(clipped, _MARGIN_CAP, margin_raw)
-        rows = np.empty((feats.valid.size, self.IN_COLS))
+        rows = np.empty((feats.valid.size, self.IN_COLS), self.net.dtype)
         rows[:, :_STATE_COLS] = feats.rows
         rows[:, _STATE_COLS + 0] = fractions
         rows[:, _STATE_COLS + 1] = total[sample]
@@ -402,7 +429,7 @@ class TaskBlockCritic(_TaskBlock):
                                           input_grad=action_grad)
         if not action_grad:
             return grads, None
-        d_frac = d_rows[:, _STATE_COLS + 0].copy()
+        d_frac = d_rows[:, _STATE_COLS + 0].astype(float)
         # Total-commitment column reaches every fraction of the sample.
         d_frac += np.bincount(sample, d_rows[:, _STATE_COLS + 1], minlength=k)[sample]
         # Margin column: m_j = f_j * ratio_j / max(1, sum f).
@@ -440,22 +467,34 @@ class AgentBundle:
     distill_alpha: float = 1.0
 
 
+_DTYPE = np.float32   # the agent nets' parameter dtype
+
+
+def _single(params: dict) -> dict:
+    """``params`` as `_DTYPE` arrays."""
+    return {name: p.astype(_DTYPE) for name, p in params.items()}
+
+
 def make_agent(n_max: int, state_scale: np.ndarray, frequency: float,
                hidden=(64, 64), rng: np.random.Generator | None = None,
                noise_scale: float = 0.3, distill_alpha: float = 1.0) -> AgentBundle:
+    """Fresh agent: float64 uniform draws (`Network.initialize`), stored as
+    float32."""
     rng = rng if rng is not None else np.random.default_rng(0)
     scale = np.asarray(state_scale, dtype=float)
     actor_acts = ("relu",) * len(hidden) + ("sigmoid",)
     critic_acts = ("relu",) * len(hidden) + ("identity",)
-    actor = TaskBlockActor(
-        Network.initialize((_STATE_COLS, *hidden, 1), actor_acts, rng),
-        n_max, scale, frequency)
-    critic1 = TaskBlockCritic(
-        Network.initialize((TaskBlockCritic.IN_COLS, *hidden, 1), critic_acts, rng),
-        n_max, scale, frequency)
-    critic2 = TaskBlockCritic(
-        Network.initialize((TaskBlockCritic.IN_COLS, *hidden, 1), critic_acts, rng),
-        n_max, scale, frequency)
+
+    def net(in_cols, acts):
+        drawn = Network.initialize((in_cols, *hidden, 1), acts, rng)
+        drawn.params = _single(drawn.params)
+        return drawn
+
+    actor = TaskBlockActor(net(_STATE_COLS, actor_acts), n_max, scale, frequency)
+    critic1 = TaskBlockCritic(net(TaskBlockCritic.IN_COLS, critic_acts),
+                              n_max, scale, frequency)
+    critic2 = TaskBlockCritic(net(TaskBlockCritic.IN_COLS, critic_acts),
+                              n_max, scale, frequency)
     return AgentBundle(
         actor=actor, critic1=critic1, critic2=critic2,
         target_actor=actor.copy(), target_critic1=critic1.copy(),
@@ -642,6 +681,10 @@ def save_agent(agent: AgentBundle, path) -> None:
 
 
 def load_agent(path) -> AgentBundle:
+    """Read an agent checkpoint.  Float32 or float64 arrays load (float64
+    nets, as older checkpoints store them, are cast to float32); any other
+    dtype, a non-finite value or a shape the checkpoint's own metadata does
+    not build raises CheckpointError naming the array."""
     arrays, meta = checkpoint.load_arrays(path)
     if meta.get("format") != "agent":
         raise CheckpointError(f"{path}: not an agent checkpoint")
@@ -649,7 +692,8 @@ def load_agent(path) -> AgentBundle:
         scale = arrays["state_scale"]
         n_max = meta["n_max"]
         frequency = meta["frequency"]
-        checkpoint.check_shape(path, "state_scale", scale, (state_dim(n_max),))
+        checkpoint.check_array(path, "state_scale", scale, (state_dim(n_max),))
+        scale = scale.astype(float)
         wrappers = {}
         for net_name in _NETS:
             spec = meta["nets"][net_name]
@@ -660,8 +704,8 @@ def load_agent(path) -> AgentBundle:
                 for key, shape in ((f"w{i}", (fan_in, fan_out)), (f"b{i}", (fan_out,))):
                     if key not in params:
                         raise KeyError(f"{net_name}.{key}")
-                    checkpoint.check_shape(path, f"{net_name}.{key}", params[key], shape)
-            net = Network(tuple(dims), tuple(spec["activations"]), params)
+                    checkpoint.check_array(path, f"{net_name}.{key}", params[key], shape)
+            net = Network(tuple(dims), tuple(spec["activations"]), _single(params))
             wrapper_cls = TaskBlockActor if "actor" in net_name else TaskBlockCritic
             wrappers[net_name] = wrapper_cls(net, n_max, scale, frequency)
         return AgentBundle(

@@ -86,9 +86,15 @@ def load_arrays(path):
     return arrays, meta
 
 
-def check_shape(path, name: str, array: np.ndarray, shape: tuple) -> None:
-    """Raise CheckpointError when a loaded array's shape is not the one its
-    checkpoint's own configuration builds."""
+def check_array(path, name: str, array: np.ndarray, shape: tuple) -> None:
+    """Raise CheckpointError naming a loaded array whose dtype is not float32
+    or float64, whose shape is not the one its checkpoint's own
+    configuration builds, or which holds a non-finite value."""
+    if array.dtype not in (np.float32, np.float64):
+        raise CheckpointError(f"{path}: array {name!r} has dtype {array.dtype.name}, "
+                              f"expected float32 or float64")
     if array.shape != tuple(shape):
         raise CheckpointError(f"{path}: array {name!r} has shape {array.shape}, "
                               f"its configuration builds {tuple(shape)}")
+    if not np.isfinite(array).all():
+        raise CheckpointError(f"{path}: array {name!r} holds a non-finite value")

@@ -331,8 +331,10 @@ class ForecastModel:
         if missing:
             raise CheckpointError(f"{path}: forecaster checkpoint lacks {missing}")
         for name, built in model.params.items():
-            checkpoint.check_shape(path, name, arrays[name], built.shape)
-        model.params = arrays
+            checkpoint.check_array(path, name, arrays[name], built.shape)
+        # The forecaster computes in float64; float32 arrays are cast.
+        model.params = {name: arrays[name].astype(float, copy=False)
+                        for name in model.params}
         return model
 
     # -- internals -----------------------------------------------------------

@@ -1,9 +1,10 @@
 """Minimal dense-network substrate: forward, exact reverse-mode gradients,
 adaptive-moment updates and soft target tracking.
 
-Everything is float64 numpy; no external autodiff.  The actor/critic
-networks of the offloading agent and the forecaster's dense pieces are all
-built on these primitives.
+Plain numpy, no external autodiff.  A network computes in its parameters'
+dtype: inputs and upstream gradients are cast to it, and Adam's moments take
+the gradients' dtype.  The offloading agent's actor/critic networks hold
+float32 parameters; the forecaster's dense pieces stay float64.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .errors import DivergenceError
 
 _ACTIVATIONS = {
     "identity": (lambda z: z, lambda z: np.ones_like(z)),
-    "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0.0).astype(float)),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0.0).astype(z.dtype)),
     "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
     "sigmoid": (lambda z: 1.0 / (1.0 + np.exp(-z)),
                 lambda z: (s := 1.0 / (1.0 + np.exp(-z))) * (1.0 - s)),
@@ -44,8 +45,9 @@ class AdamState:
     """First/second moment buffers with bias correction, keyed by array name.
 
     The first update fixes the layout: the gradient names, their order and
-    their shapes.  Both moments live in one flat buffer each, in that order;
-    ``m[name]`` and ``v[name]`` are reshaped views into them."""
+    their shapes.  Both moments live in one flat buffer each, in that order
+    and in the first gradients' dtype; ``m[name]`` and ``v[name]`` are
+    reshaped views into them."""
 
     beta1: float = 0.9
     beta2: float = 0.999
@@ -76,7 +78,7 @@ class AdamState:
             bad = next(name for name, a in grads.items() if not np.isfinite(a).all())
             raise DivergenceError(f"non-finite gradient for parameter {bad!r}")
         if not fixed:
-            self._allocate(layout, g.size)
+            self._allocate(layout, g.size, g.dtype)
         self.step += 1
         bc1 = 1.0 - self.beta1 ** self.step
         bc2 = 1.0 - self.beta2 ** self.step
@@ -102,9 +104,9 @@ class AdamState:
         for name, shape in layout:
             params[name] -= step[self._spans[name]].reshape(shape)
 
-    def _allocate(self, layout: list, size: int) -> None:
-        self._m = np.zeros(size)
-        self._v = np.zeros(size)
+    def _allocate(self, layout: list, size: int, dtype) -> None:
+        self._m = np.zeros(size, dtype)
+        self._v = np.zeros(size, dtype)
         start = 0
         for name, shape in layout:
             span = self._spans[name] = slice(start, start + math.prod(shape))
@@ -120,8 +122,11 @@ class AdamState:
 class Network:
     """Ordered dense layers with per-layer activations.
 
-    Parameters live in ``params`` as float64 arrays named ``w0, b0, w1, ...``
-    with weight shape (fan_in, fan_out).  Inputs are (batch, in) or (in,).
+    Parameters live in ``params`` as arrays named ``w0, b0, w1, ...`` with
+    weight shape (fan_in, fan_out), all of one floating dtype; `initialize`
+    draws float64.  Inputs are (batch, in) or (in,).  `forward` and
+    `backward` cast their input and upstream to that dtype and compute in
+    it, so outputs and gradients have it too.
     """
 
     def __init__(self, dims, activations, params: dict, adam: AdamState | None = None):
@@ -147,6 +152,11 @@ class Network:
         return cls(dims, activations, params)
 
     @property
+    def dtype(self) -> np.dtype:
+        """The parameters' dtype, in which the network computes."""
+        return self.params["w0"].dtype
+
+    @property
     def num_layers(self) -> int:
         return len(self.dims) - 1
 
@@ -158,7 +168,7 @@ class Network:
 
     def forward(self, x: np.ndarray, return_cache: bool = False):
         """Layer-wise affine + activation composition; pure and deterministic."""
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=self.dtype)
         squeeze = x.ndim == 1
         h = x[None, :] if squeeze else x
         if h.shape[1] != self.dims[0]:
@@ -188,7 +198,7 @@ class Network:
         when ``input_grad`` is false, which skips its product."""
         if cache is None:
             raise ValueError("backward requires the cache from a forward pass")
-        upstream = np.asarray(upstream, dtype=float)
+        upstream = np.asarray(upstream, dtype=self.dtype)
         delta = upstream[None, :] if cache["squeeze"] else upstream
         grads = {}
         for i in reversed(range(self.num_layers)):

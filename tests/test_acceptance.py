@@ -10,6 +10,7 @@ import json
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -420,7 +421,7 @@ def test_compare_determinism(tmp_path):
             p1 = os.path.join(root, name)
             p2 = p1.replace(str(out1), str(out2), 1)
             checked += 1
-            if open(p1, "rb").read() != open(p2, "rb").read():
+            if Path(p1).read_bytes() != Path(p2).read_bytes():
                 identical = False
     report("compare determinism", identical and checked > 0,
            f"{checked} artifacts byte-compared")

@@ -1,6 +1,8 @@
 """Offloading-agent tests: codecs, replay, TD3 mechanics pinned on hand-built
 fixtures, distillation behavior, the hybrid selector, and training smoke."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,18 @@ def default_agent(rng=None, hidden=(16, 16)):
     scale = A.feature_scale(N_MAX, bw_ref=3e6, rate_ref=5e5,
                             compute_ref=1e8, power_ref=RADIO.upload_power)
     return A.make_agent(N_MAX, scale, hidden=hidden, rng=rng, frequency=1e9)
+
+
+def float64_copy(agent):
+    """A copy of the agent whose six nets hold float64 parameters.  The
+    block algebra does not depend on the dtype, so the exactness tests run
+    on it at float64 precision."""
+    blocks = {}
+    for name in A._NETS:
+        block = blocks[name] = getattr(agent, name).copy()
+        block.net.params = {k: v.astype(np.float64)
+                            for k, v in block.net.params.items()}
+    return dataclasses.replace(agent, **blocks)
 
 
 def set_constant_output(net, value):
@@ -502,7 +516,7 @@ class TestSharedFeatures:
 class TestGradientsThroughBlocks:
     def test_critic_action_gradients_match_finite_differences(self):
         rng = np.random.default_rng(21)
-        agent = default_agent(rng, hidden=(8, 8))
+        agent = float64_copy(default_agent(rng, hidden=(8, 8)))
         states = make_states(3, rng)
         actions = rng.uniform(0.05, 0.45, size=(3, A.action_dim(N_MAX)))
         critic = agent.critic1
@@ -528,7 +542,7 @@ class TestGradientsThroughBlocks:
 
     def test_actor_parameter_gradients_match_finite_differences(self):
         rng = np.random.default_rng(22)
-        agent = default_agent(rng, hidden=(6,))
+        agent = float64_copy(default_agent(rng, hidden=(6,)))
         states = make_states(4, rng)
         upstream = rng.normal(size=(4, A.action_dim(N_MAX)))
         out, cache = agent.actor.forward(states, return_cache=True)
@@ -564,6 +578,34 @@ class TestCheckpointRoundTrip:
         assert np.array_equal(A.act(agent, s, False), A.act(loaded, s, False))
         assert loaded.step_count == 17
         assert loaded.n_max == agent.n_max
+
+    def test_nets_saved_and_loaded_as_float32(self, tmp_path):
+        from edgeslice import checkpoint
+        path = tmp_path / "agent.ckpt"
+        A.save_agent(default_agent(np.random.default_rng(24)), path)
+        arrays, _ = checkpoint.load_arrays(path)
+        assert {a.dtype for k, a in arrays.items() if k != "state_scale"} \
+            == {np.dtype(np.float32)}
+        assert arrays["state_scale"].dtype == np.float64
+        loaded = A.load_agent(path)
+        assert all(p.dtype == np.float32 for name in A._NETS
+                   for p in getattr(loaded, name).params.values())
+
+    def test_legacy_float64_nets_cast_to_float32(self, tmp_path):
+        from edgeslice import checkpoint
+        path = tmp_path / "agent.ckpt"
+        A.save_agent(float64_copy(default_agent(np.random.default_rng(25))), path)
+        arrays, meta = checkpoint.load_arrays(path)
+        # Float64 draws, as a checkpoint written before the nets were float32.
+        drawn = np.random.default_rng(26)
+        legacy = {k: a if k == "state_scale" else drawn.uniform(-1, 1, a.shape)
+                  for k, a in arrays.items()}
+        checkpoint.save_arrays(path, legacy, meta)
+        loaded = A.load_agent(path)
+        for name in A._NETS:
+            for key, p in getattr(loaded, name).params.items():
+                assert p.dtype == np.float32
+                assert np.array_equal(p, legacy[f"{name}.{key}"].astype(np.float32))
 
 
 def tiny_family():
@@ -692,7 +734,7 @@ class TestOccupiedSlots:
     @pytest.mark.parametrize("counts", BATCHES.values(), ids=BATCHES.keys())
     def test_actor_matches_padded_reference(self, counts):
         rng = np.random.default_rng(70)
-        actor = default_agent(rng).actor
+        actor = float64_copy(default_agent(rng)).actor
         states = states_with_counts(counts, rng)
         mask, _, rows = self.padded(actor, states, rng)
         actions, cache = actor.forward(states, return_cache=True)
@@ -713,7 +755,7 @@ class TestOccupiedSlots:
     @pytest.mark.parametrize("counts", BATCHES.values(), ids=BATCHES.keys())
     def test_critic_matches_padded_reference(self, counts):
         rng = np.random.default_rng(71)
-        critic = default_agent(rng).critic1
+        critic = float64_copy(default_agent(rng)).critic1
         states = states_with_counts(counts, rng)
         mask, need, state_rows = self.padded(critic, states, rng)
         k = len(counts)
@@ -762,8 +804,8 @@ class TestOccupiedSlots:
 
     def test_distill_matches_occupied_slot_reference(self):
         rng = np.random.default_rng(73)
-        current = default_agent(np.random.default_rng(74))
-        peer = default_agent(np.random.default_rng(75))
+        current = float64_copy(default_agent(np.random.default_rng(74)))
+        peer = float64_copy(default_agent(np.random.default_rng(75)))
         states = states_with_counts([2, 0, N_MAX, 1, 3, 1], rng)
         feats = current.actor._state_rows(states)
         sample = np.flatnonzero(states[:, A._block(N_MAX, "mask")]) // N_MAX
@@ -791,3 +833,108 @@ class TestOccupiedSlots:
         for name in ref_grads:
             np.testing.assert_allclose(seen[name], ref_grads[name], rtol=1e-10,
                                        atol=1e-15)
+
+
+def padded_state_rows(states, n_max, state_scale):
+    """The featurisation of every (sample, slot) pair, padded slots included,
+    in float64; its occupied rows are the reference for `_state_rows`."""
+    scaled = states / state_scale
+    k, n = states.shape[0], n_max
+
+    def block(name, source=states):
+        return source[:, A._block(n, name)]
+
+    mask = block("mask")
+    need = block("need")
+    rows = np.empty((k, n, A._STATE_COLS))
+    rows[:, :, 0] = scaled[:, [0]]
+    rows[:, :, 1] = scaled[:, [1]]
+    rows[:, :, 2] = scaled[:, [2]]
+    rows[:, :, 3] = scaled[:, [3 + 2 * n]]
+    rows[:, :, 4] = block("rate", scaled)
+    compute = block("compute", scaled)
+    rows[:, :, 5] = compute
+    rows[:, :, 6] = mask
+    rows[:, :, 7] = np.arange(n) / n
+    rows[:, :, 8] = need
+    rows[:, :, 9] = np.minimum(need.sum(axis=1, keepdims=True), 4.0)
+    rows[:, :, 10] = (compute.sum(axis=1, keepdims=True)
+                      / np.maximum(states[:, [1]], 1.0))
+    rank = np.argsort(np.argsort(need + (1 - mask) * 99.0, axis=1,
+                                 kind="stable"), axis=1, kind="stable")
+    rows[:, :, 11] = rank / n
+    rows[:, :, 12] = block("priority")
+    rows[:, :, 13] = np.minimum(block("exe"), A._SHARE_CAP)
+    rows[:, :, 14] = np.minimum(block("queue"), A._SHARE_CAP)
+    rows[:, :, 15] = np.minimum(block("cumulative"), 4.0)
+    return rows.reshape(k * n, A._STATE_COLS)
+
+
+class TestSinglePrecision:
+    """The agent's nets compute in float32; a float64 copy of the same
+    agent agrees within a float32 tolerance."""
+
+    TOL = 1e3 * np.finfo(np.float32).eps
+
+    def assert_close(self, single, double):
+        np.testing.assert_allclose(single, double, rtol=self.TOL,
+                                   atol=self.TOL * np.abs(double).max())
+
+    @pytest.mark.parametrize("counts", TestOccupiedSlots.BATCHES.values(),
+                             ids=TestOccupiedSlots.BATCHES.keys())
+    @pytest.mark.parametrize("n_max", [N_MAX, 10])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_state_rows_match_padded_construction(self, counts, n_max, dtype):
+        rng = np.random.default_rng(80)
+        scale = A.feature_scale(n_max, bw_ref=3e6, rate_ref=5e5,
+                                compute_ref=1e8, power_ref=RADIO.upload_power)
+        agent = A.make_agent(n_max, scale, hidden=(8,), rng=rng, frequency=1e9)
+        if dtype == np.float64:
+            agent = float64_copy(agent)
+        counts = [n_max if c == N_MAX else c for c in counts]  # full stays full
+        states = np.array([A.encode_state(random_region(c, rng), RADIO, ECON, n_max)
+                           for c in counts])
+        feats = agent.actor._state_rows(states)
+        valid = np.flatnonzero(states[:, A._block(n_max, "mask")])
+        assert feats.rows.dtype == dtype
+        assert np.array_equal(feats.valid, valid)
+        assert np.array_equal(
+            feats.rows, padded_state_rows(states, n_max, scale)[valid].astype(dtype))
+        assert np.array_equal(feats.need,
+                              states[:, A._block(n_max, "need")].ravel()[valid])
+        assert np.array_equal(feats.selectors, states[:, A._block(n_max, "selector")])
+
+    def test_holder_of_another_dtype_is_refeaturised(self):
+        agent = default_agent(np.random.default_rng(81))
+        double = float64_copy(agent)
+        states = make_states(6, np.random.default_rng(82))
+        feats = agent.actor._state_rows(states)
+        assert double.actor._features(feats).rows.dtype == np.float64
+        assert agent.actor._features(feats) is feats
+
+    def test_agrees_with_float64_copy(self):
+        rng = np.random.default_rng(83)
+        single = default_agent(rng, hidden=(64, 64))
+        double = float64_copy(single)
+        assert all(p.dtype == np.float32 for name in A._NETS
+                   for p in getattr(single, name).params.values())
+        states = states_with_counts([2, 0, N_MAX, 1, 3, N_MAX, 1], rng)
+        actions = rng.uniform(0.0, 0.6, size=(len(states), A.action_dim(N_MAX)))
+        upstream = rng.normal(size=actions.shape)
+        d_values = rng.normal(size=len(states))
+        results = []
+        for agent in (single, double):
+            out, actor_cache = agent.actor.forward(states, return_cache=True)
+            q, critic_cache = agent.critic1.forward(states, actions, return_cache=True)
+            actor_grads = agent.actor.backward(actor_cache, upstream)
+            critic_grads, d_actions = agent.critic1.backward(critic_cache, d_values)
+            results.append((out, q, actor_grads, critic_grads, d_actions))
+        (out, q, actor_grads, critic_grads, d_actions), ref = results[0], results[1]
+        assert out.dtype == q.dtype == d_actions.dtype == np.float64
+        self.assert_close(out, ref[0])
+        self.assert_close(q, ref[1])
+        for grads, ref_grads in ((actor_grads, ref[2]), (critic_grads, ref[3])):
+            for name, g in grads.items():
+                assert g.dtype == np.float32
+                self.assert_close(g, ref_grads[name])
+        self.assert_close(d_actions, ref[4])

@@ -7,6 +7,7 @@ import math
 import os
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -389,7 +390,7 @@ class TestReport:
         paths = harness.report(metrics, tmp_path / "sums")
         with open(paths["metrics"]) as fh:
             rows = list(csv.DictReader(fh))
-        summary = json.loads(open(paths["summary"]).read())
+        summary = json.loads(Path(paths["summary"]).read_bytes())
         assert summary["revenue"] == pytest.approx(
             sum(float(r["revenue"]) for r in rows))
         assert summary["profit"] == pytest.approx(
@@ -487,8 +488,8 @@ class TestCompare:
                     os.path.join("greedy_seed0", "metrics.csv"),
                     os.path.join("random_seed1", "metrics.csv"),
                     os.path.join("random_seed1", "settlements.csv")):
-            b1 = open(out1 / sub, "rb").read()
-            b2 = open(out2 / sub, "rb").read()
+            b1 = (out1 / sub).read_bytes()
+            b2 = (out2 / sub).read_bytes()
             assert b1 == b2, f"{sub} differs between reruns"
 
     def test_golden_output_bytes(self, tmp_path):
@@ -724,6 +725,72 @@ class TestCli:
         assert "error:" in result.output and "agent.ckpt" in result.output
         assert repr(name) in result.output
         assert str(shape) in result.output and str(built) in result.output
+
+    def rewrite_array(self, path, name, value):
+        """Replace one stored array, metadata unchanged."""
+        arrays, meta = checkpoint.load_arrays(path)
+        arrays[name] = value(arrays[name])
+        checkpoint.save_arrays(path, arrays, meta)
+
+    def run_sliceoff(self, tmp_path, agent_path, *extra):
+        return CliRunner().invoke(cli_main, [
+            "run", "--config", write_config(tmp_path, small_doc()),
+            "--policy", "sliceoff", "--out", str(tmp_path / "out"),
+            "--agent-checkpoint", str(agent_path), *extra])
+
+    @pytest.mark.parametrize("dtype", ["complex128", "int64", "float16"])
+    def test_wrong_dtype_agent_array_exit_code_2(self, tmp_path, dtype):
+        path = self.write_agent(tmp_path, build_config(small_doc()))
+        self.rewrite_array(path, "actor.w1", lambda a: a.astype(dtype))
+        result = self.run_sliceoff(tmp_path, path)
+        assert result.exit_code == 2, result.output
+        assert "error:" in result.output and "agent.ckpt" in result.output
+        assert "'actor.w1'" in result.output and dtype in result.output
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_agent_array_exit_code_2(self, tmp_path, bad):
+        path = self.write_agent(tmp_path, build_config(small_doc()))
+        self.rewrite_array(path, "critic2.b0", lambda a: np.full_like(a, bad))
+        result = self.run_sliceoff(tmp_path, path)
+        assert result.exit_code == 2, result.output
+        assert "'critic2.b0'" in result.output and "non-finite" in result.output
+
+    def test_wrong_dtype_forecaster_array_exit_code_2(self, tmp_path):
+        cfg = build_config(small_doc())
+        path = tmp_path / "forecaster.ckpt"
+        ForecastModel(cfg.forecaster, np.random.default_rng(0)).save(path)
+        self.rewrite_array(path, "head_w0", lambda a: a.astype(complex))
+        result = self.run_sliceoff(tmp_path, self.write_agent(tmp_path, cfg),
+                                   "--forecaster-checkpoint", str(path))
+        assert result.exit_code == 2, result.output
+        assert "forecaster.ckpt" in result.output
+        assert "'head_w0'" in result.output and "complex128" in result.output
+
+    def test_legacy_float64_agent_checkpoint_runs(self, tmp_path):
+        # Agent checkpoints were written with float64 nets before the nets
+        # became float32; they load, cast, and run like the float32 file.
+        path = self.write_agent(tmp_path, build_config(small_doc()))
+        expected = self.run_sliceoff(tmp_path, path)
+        assert expected.exit_code == 0, expected.output
+        metrics = (tmp_path / "out" / "metrics.csv").read_bytes()
+        arrays, meta = checkpoint.load_arrays(path)
+        checkpoint.save_arrays(path, {k: a.astype(np.float64)
+                                      for k, a in arrays.items()}, meta)
+        result = self.run_sliceoff(tmp_path, path)
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "out" / "metrics.csv").read_bytes() == metrics
+        loaded = agent.load_agent(path)
+        assert loaded.actor.params["w0"].dtype == np.float32
+
+    def test_trained_nets_and_moments_stay_float32(self):
+        current, peer, _, _ = harness.train_agents(build_config(small_doc()), seed=0)
+        for bundle in (current, peer):
+            for name in agent._NETS:
+                net = getattr(bundle, name).net
+                assert all(p.dtype == np.float32 for p in net.params.values()), name
+                if not name.startswith("target"):
+                    assert net.adam.step > 0, name
+                    assert net.adam._m.dtype == net.adam._v.dtype == np.float32, name
 
     @pytest.mark.parametrize("name,shape", [
         ("head_w0", (8, 9)), ("dist0_kernel", (2, 8, 8)), ("norm_std", (1,))])

@@ -217,6 +217,32 @@ class TestKernelBits:
             assert all(np.array_equal(params[k], ref[k]) for k in ref)
 
 
+class TestDtype:
+    """A network computes in its parameters' dtype."""
+
+    @pytest.mark.parametrize("act", ALL_ACTIVATIONS)
+    def test_float32_params_give_float32_outputs_and_gradients(self, act):
+        rng = np.random.default_rng(36)
+        double = random_net(rng, dims=[5, 7, 1], acts=[act, act])
+        single = Network(double.dims, double.activations,
+                         {k: v.astype(np.float32) for k, v in double.params.items()})
+        x = rng.normal(size=(20, 5))
+        out, cache = single.forward(x, return_cache=True)
+        grads, dx = single.backward(cache, rng.normal(size=(20, 1)))
+        assert single.dtype == out.dtype == dx.dtype == np.float32
+        assert all(g.dtype == np.float32 for g in grads.values())
+        np.testing.assert_allclose(out, double.forward(x), rtol=1e-5, atol=1e-6)
+        single.apply_gradients(grads, lr=1e-2)
+        assert all(p.dtype == np.float32 for p in single.params.values())
+        assert single.adam._m.dtype == single.adam._v.dtype == np.float32
+
+    def test_float64_params_keep_float64(self):
+        net = random_net(np.random.default_rng(37), dims=[3, 4, 2],
+                         acts=["relu", "identity"])
+        out = net.forward(np.ones(3, dtype=np.float32))
+        assert net.dtype == out.dtype == np.float64
+
+
 class TestOptimizerStep:
     def test_lr_zero_is_noop(self):
         rng = np.random.default_rng(3)
