@@ -67,7 +67,6 @@ class MetricsReport:
     policy: str
     seed: int
     rows: list = field(default_factory=list)
-    violations: int = 0
     settlements: list = field(default_factory=list)
     rental_log: list = field(default_factory=list)  # (h, cost)
 
@@ -100,7 +99,6 @@ class MetricsReport:
                          / max(1, self.total_offloaded)),
             "bw_util": sum(r.bw_util for r in rows) / max(1, len(rows)),
             "vm_util": sum(r.vm_util for r in rows) / max(1, len(rows)),
-            "violations": self.violations,
         }
 
 
@@ -229,13 +227,11 @@ def run(config: Config, policy_tag: str, seed: int, agent_bundle=None,
     passes them (``compare``, once per seed) gets the same report.  The run
     reads them and changes neither.
     """
-    if policy_tag not in POLICY_TAGS:
-        raise ConfigError(f"unknown policy tag {policy_tag!r}; choose from {POLICY_TAGS}")
-    if scenario is None:
-        scenario = generate_scenario(config, seed)
     _, rng_policy = _seed_streams(seed)
     policy = make_policy(policy_tag, config, rng_policy, agent_bundle=agent_bundle,
                          peer_bundle=peer_bundle)
+    if scenario is None:
+        scenario = generate_scenario(config, seed)
     if plan is None:
         plan = slice_plan(config, seed, scenario, forecaster)
     if len(plan) != config.horizon:
@@ -266,12 +262,6 @@ def run(config: Config, policy_tag: str, seed: int, agent_bundle=None,
                 action = policy(state).projected()
                 pending_before = sum(state.pending)
                 committed = float(action.bw_fraction.sum())
-                if committed > 1.0 + 1e-9:
-                    report_out.violations += 1
-                served_vms = action.vm_index[action.bw_fraction > 0]
-                if served_vms.size and (served_vms.max() >= state.vm_count
-                                        or served_vms.min() < 0):
-                    report_out.violations += 1
                 reward, next_state, recs = step(
                     state, action, config.econ, config.radio,
                     slot_duration=config.slot_duration)
@@ -285,8 +275,6 @@ def run(config: Config, policy_tag: str, seed: int, agent_bundle=None,
                             hits += 1
                     if rec.revenue > 0:
                         added += state.tasks[rec.task_id].work
-                    if rec.t_total < 0 or rec.t_up < 0 or rec.t_que < 0 or rec.t_exe < 0:
-                        report_out.violations += 1
                 capacity = state.vm_count * state.frequency * config.slot_duration
                 vm_util_sum += min(1.0, (pending_before + added) / capacity)
                 bw_util_sum += min(1.0, committed)
@@ -355,12 +343,16 @@ def report(metrics: MetricsReport, out_dir) -> dict:
 def compare(config: Config, policies, seeds, out_dir, agent_bundle=None,
             peer_bundle=None, forecaster=None) -> dict:
     """Run a policy x seed grid; write per-run reports plus comparison.csv
-    (per-policy means of revenue / offloaded count / hit rate / utilization,
-    mirroring the four headline panels) and a combined summary.json.
+    (one row per listed tag: the means over its runs of every metric of
+    ``METRICS_HEADER`` after ``h``) and a combined summary.json.
 
-    ``peer_bundle`` switches ``sliceoff`` to the hybrid policy."""
+    Every tag is checked before anything is written.  ``peer_bundle``
+    switches ``sliceoff`` to the hybrid policy."""
     if not policies or not seeds:
         raise ConfigError("compare needs at least one policy and one seed")
+    for tag in policies:
+        make_policy(tag, config, None, agent_bundle=agent_bundle,
+                    peer_bundle=peer_bundle)
     os.makedirs(out_dir, exist_ok=True)
     totals = {}  # (policy position, seed position) -> run totals
     for j, seed in enumerate(seeds):
@@ -376,7 +368,6 @@ def compare(config: Config, policies, seeds, out_dir, agent_bundle=None,
                 plans[model] = slice_plan(config, seed, scenario, model)
             metrics = run(config, tag, seed,
                           agent_bundle=agent_bundle if sliceoff else None,
-                          forecaster=model,
                           peer_bundle=peer_bundle if sliceoff else None,
                           scenario=scenario, plan=plans[model])
             sub = os.path.join(out_dir, f"{tag}_seed{seed}")
@@ -388,29 +379,15 @@ def compare(config: Config, policies, seeds, out_dir, agent_bundle=None,
     # Policy-major, as the grid is listed.
     all_totals = [totals[i, j] for i in range(len(policies))
                   for j in range(len(seeds))]
-    comparison_rows = []
+    keys = METRICS_HEADER[1:]
+    means = {}
     for tag in policies:
-        rows = [t for t in all_totals if t["policy"] == tag]
-        n = len(rows)
-        comparison_rows.append((
-            tag,
-            sum(r["revenue"] for r in rows) / n,
-            sum(r["cost"] for r in rows) / n,
-            sum(r["profit"] for r in rows) / n,
-            sum(r["offloaded"] for r in rows) / n,
-            sum(r["hit_rate"] for r in rows) / n,
-            sum(r["bw_util"] for r in rows) / n,
-            sum(r["vm_util"] for r in rows) / n,
-        ))
+        runs = [t for t in all_totals if t["policy"] == tag]
+        means[tag] = {k: sum(r[k] for r in runs) / len(runs) for k in keys}
     _atomic_write(os.path.join(out_dir, "comparison.csv"),
-                  _csv_text(("policy", "revenue", "cost", "profit", "offloaded",
-                             "hit_rate", "bw_util", "vm_util"), comparison_rows))
-    summary = {"runs": all_totals,
-               "policies": {row[0]: {"revenue": row[1], "cost": row[2],
-                                     "profit": row[3], "offloaded": row[4],
-                                     "hit_rate": row[5], "bw_util": row[6],
-                                     "vm_util": row[7]}
-                            for row in comparison_rows}}
+                  _csv_text(("policy",) + keys,
+                            [(tag, *means[tag].values()) for tag in policies]))
+    summary = {"runs": all_totals, "policies": means}
     _atomic_write(os.path.join(out_dir, "summary.json"),
                   json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return summary

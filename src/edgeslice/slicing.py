@@ -8,6 +8,10 @@ Each region's relaxed problem has two constraints per resource kind (the
 choice weights form a simplex and the chosen capacity must cover demand), so
 an optimal vertex mixes at most two options and enumeration over option
 pairs replaces a general LP solver.
+
+A mix is admitted only beside the cheapest option that covers demand, and
+a draw that under-provisions is repaired to that option, so every rounded
+decision rents a cheapest cover: the cost ``brute_force_slicing`` finds.
 """
 
 from __future__ import annotations

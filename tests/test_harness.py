@@ -42,10 +42,10 @@ def tree_sha256(root) -> str:
 
 
 def report_rows(metrics):
-    """Everything a run reports: metric rows, settlements, rentals, violations."""
+    """Everything a run reports: metric rows, settlements, rentals."""
     return ([r.as_row() for r in metrics.rows],
             [tuple(rec) for rec in metrics.settlements],
-            list(metrics.rental_log), metrics.violations)
+            list(metrics.rental_log))
 
 
 def small_doc(**overrides):
@@ -255,7 +255,6 @@ class TestRun:
             assert 0.0 <= row.bw_util <= 1.0
             assert 0.0 <= row.vm_util <= 1.0
             assert 0.0 <= row.hit_rate <= 1.0
-        assert metrics.violations == 0
 
     def test_each_region_served_at_its_own_vm_rate(self):
         cfg = build_config(small_doc())
@@ -509,7 +508,7 @@ class TestCompare:
                 with open(path, "rb") as fh:
                     digest.update(fh.read())
         assert digest.hexdigest() == \
-            "f1d2853fe173fde5109c383e0bbf93e76b035dce744ec5a86f387f526a606e8e"
+            "1415aa7699600da65dbd8295da6ea68a9c263e32ce6d7af9321df4673a1b4904"
 
 
     def test_repeated_policy_and_seed_keep_their_bytes(self, tmp_path):
@@ -521,7 +520,33 @@ class TestCompare:
         assert [(r["policy"], r["seed"]) for r in summary["runs"]] == \
             [(p, s) for p in policies for s in seeds]
         assert tree_sha256(tmp_path) == \
-            "2f447e031f492301b25f999df9ce7d0dea6d11a4b527d6020029889c33aa358a"
+            "4ef93b35be6a92a66a906a32d712cb6c084e2b597b514cab70a889855189e142"
+
+    def test_one_metric_list_for_summary_and_comparison(self, tmp_path):
+        cfg = build_config(small_doc())
+        summary = harness.compare(cfg, ["greedy"], [0], tmp_path)
+        metrics = harness.METRICS_HEADER[1:]
+        run_summary = json.loads((tmp_path / "greedy_seed0" / "summary.json").read_bytes())
+        assert set(run_summary) == {"policy", "seed"} | set(metrics)
+        assert set(summary["policies"]["greedy"]) == set(metrics)
+        with open(tmp_path / "comparison.csv", newline="") as fh:
+            header = next(csv.reader(fh))
+        assert tuple(header) == ("policy",) + metrics
+
+    @pytest.mark.parametrize("policies,peer_n_max", [
+        (["greedy", "bogus"], None), (["greedy", "sliceoff"], None),
+        (["greedy", "sliceoff"], 7)],
+        ids=["unknown_tag", "sliceoff_without_agent", "peer_of_other_n_max"])
+    def test_bad_grid_refused_before_writing(self, tmp_path, policies, peer_n_max):
+        cfg = build_config(small_doc())
+        bundles = {}
+        if peer_n_max is not None:
+            bundles = {"agent_bundle": TestRun.small_agent(cfg, 1),
+                       "peer_bundle": TestRun.small_agent(cfg, 2, n_max=peer_n_max)}
+        out = tmp_path / "cmp"
+        with pytest.raises(ConfigError):
+            harness.compare(cfg, policies, [0], out, **bundles)
+        assert not out.exists()
 
     @pytest.mark.parametrize("policies,with_forecaster,predictors", [
         (["greedy", "sliceoff", "random", "auction"], True, 2),
@@ -570,6 +595,10 @@ class TestCli:
                                           "--out", str(tmp_path / "out")])
         assert result.exit_code == 0, result.output
         assert (tmp_path / "out" / "metrics.csv").exists()
+        summary = json.loads((tmp_path / "out" / "summary.json").read_bytes())
+        assert result.output.splitlines()[0] == (
+            f"policy=greedy seed=1 profit={summary['profit']:.3f} "
+            f"revenue={summary['revenue']:.3f}")
 
     def test_config_error_exit_code_2(self, tmp_path):
         config_path = write_config(tmp_path, {"horizon": 0})

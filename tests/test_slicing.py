@@ -4,7 +4,8 @@ enumeration, rounding statistics, and the composed pipeline."""
 import numpy as np
 import pytest
 
-from edgeslice.env import EconParams, RadioParams, RegionCatalog, ResourceCatalog
+from edgeslice.env import (EconParams, RadioParams, RegionCatalog, ResourceCatalog,
+                           rented_and_cost)
 from edgeslice.errors import InfeasibleSliceError
 from edgeslice.forecasting import TrafficSeries, baseline_forecast
 from edgeslice.slicing import (DemandVector, FractionalSlice, TaskProfile,
@@ -166,6 +167,39 @@ class TestRandomizedRound:
             decision = randomized_round(frac, demand, catalog, rng)
             cap = catalog.regions[0].bandwidth_options[decision.bw[0]][0]
             assert cap >= demand.bw_demand[0]
+
+    def test_rounding_rents_a_cheapest_cover(self):
+        # A mix is admitted only beside the cheapest covering option, and an
+        # under-provisioning draw is repaired to that option, so every draw
+        # costs exactly the enumerated optimum.
+        rng = np.random.default_rng(21)
+        mixes = 0
+        for _ in range(300):
+            regions = []
+            for _ in range(2):
+                caps = np.sort(rng.uniform(1.0, 20.0, rng.integers(2, 6)))
+                vms = np.sort(rng.choice(np.arange(1, 9), rng.integers(2, 5),
+                                         replace=False))
+                regions.append(RegionCatalog(
+                    bandwidth_options=tuple(
+                        (float(c), float(c * rng.uniform(0.5, 1.5))) for c in caps),
+                    vm_options=tuple(
+                        (int(v), float(v * rng.uniform(2.0, 6.0))) for v in vms),
+                    vm_frequency=1e9))
+            catalog = ResourceCatalog(regions=tuple(regions))
+            demand = DemandVector(
+                np.array([rng.uniform(0.0, reg.bandwidth_options[-1][0])
+                          for reg in regions]),
+                np.array([rng.uniform(0.0, reg.vm_options[-1][0] * 1e9)
+                          for reg in regions]))
+            frac = solve_relaxed(demand, catalog)
+            mixes += any(np.count_nonzero(w) == 2
+                         for w in frac.bw_weights + frac.vm_weights)
+            best, _ = brute_force_slicing(demand, catalog)
+            for _ in range(20):
+                decision = randomized_round(frac, demand, catalog, rng)
+                assert rented_and_cost(catalog, decision)[2] == best
+        assert mixes >= 100
 
 
 class TestAdjustSlices:
