@@ -5,9 +5,10 @@ priority, its execution share of the deadline at the region's own VM rate,
 and, under one fixed placement (least-loaded VM in list order, starting
 from the region's per-VM backlog), its VM, the queue ahead of it and the
 minimal bandwidth share that meets its deadline behind that queue.  The
-actor learns one bandwidth fraction per task; its VM selectors are the
-observation's placement.  The actor and critic nets run on occupied task
-slots only: a padded slot gets no row, a zero fraction and no score.
+action is one bandwidth fraction per task slot; `decode_action` reads the
+VMs from the observation the action was taken at.  The actor and critic
+nets run on occupied task slots only: a padded slot gets no row, a zero
+fraction and no score.
 
 The six nets (actor, twin critics and their targets) hold float32
 parameters and Adam moments, and their feature rows are float32; the
@@ -60,10 +61,6 @@ def state_dim(n_max: int) -> int:
     """Observation length: bandwidth, VM count, user count and upload power,
     plus the nine per-task blocks of `_BLOCKS`, each ``n_max`` wide."""
     return 4 + len(_BLOCKS) * n_max
-
-
-def action_dim(n_max: int) -> int:
-    return 2 * n_max
 
 
 def encode_state(region: RegionState, radio: RadioParams, econ: EconParams,
@@ -119,18 +116,20 @@ def encode_state(region: RegionState, radio: RadioParams, econ: EconParams,
         blocks[0], blocks[1], [radio.upload_power], blocks[2:].ravel()])
 
 
-def decode_action(raw: np.ndarray, bandwidth: float, vm_count: int,
-                  n_users: int) -> AllocationAction:
-    """Map a [0,1]^(2*n_max) vector to fractions and VM indices for the
-    first ``n_users`` entries; over-committed fractions are rescaled."""
+def decode_action(raw: np.ndarray, obs: np.ndarray) -> AllocationAction:
+    """Map an [0,1]^n_max vector of bandwidth fractions, taken at observation
+    ``obs``, to an allocation for the observation's users: their fractions,
+    rescaled when over-committed, and the VMs of its placement."""
     raw = np.clip(np.asarray(raw, dtype=float), 0.0, 1.0)
-    n_max = raw.size // 2
-    fractions = raw[:n_max][:n_users].copy()
-    total = fractions.sum()
-    if total > 1.0:
-        fractions /= total
-    vm = np.minimum((raw[n_max:][:n_users] * vm_count).astype(int), vm_count - 1)
-    return AllocationAction(bw_fraction=fractions, vm_index=vm)
+    obs = np.asarray(obs, dtype=float)
+    n_max = raw.size
+    if obs.size != state_dim(n_max):
+        raise ValueError(f"observation of length {obs.size} does not fit "
+                         f"{n_max} fractions (expected {state_dim(n_max)})")
+    vm_count, n_users = int(obs[1]), int(obs[2])
+    selectors = obs[_block(n_max, "selector")][:n_users]
+    vm = np.minimum((selectors * vm_count).astype(int), vm_count - 1)
+    return AllocationAction(bw_fraction=raw[:n_users], vm_index=vm).projected()
 
 
 def feature_scale(n_max: int, bw_ref: float, rate_ref: float,
@@ -261,7 +260,6 @@ class _Features:
     valid: np.ndarray      # (V,) flat indices of the occupied slots
     rows: np.ndarray       # (V, _STATE_COLS) state features of occupied slots
     need: np.ndarray       # (V,) minimal bandwidth share at the placement
-    selectors: np.ndarray  # (K, n_max) the placement's VM selectors
     k: int
     config: tuple          # (n_max, state_scale, rows' dtype) it was built for
     actions: np.ndarray | None = None
@@ -317,8 +315,7 @@ class _TaskBlock:
                                      kind="stable"), axis=1, kind="stable")
         rows[:, 11] = rank.ravel()[valid] / n               # cheapness rank
         return _Features(states, valid, rows.astype(self.net.dtype), rows[:, 8],
-                         states[:, blocks["selector"]], k,
-                         (n, scale, self.net.dtype))
+                         k, (n, scale, self.net.dtype))
 
     def _features(self, states) -> _Features:
         """``states`` as features for this block: a holder built for the same
@@ -334,9 +331,10 @@ class _TaskBlock:
 
 
 class TaskBlockActor(_TaskBlock):
-    """Maps observations to [0,1]^(2*n_max): one learned bandwidth fraction
-    per occupied task slot (0 on padded slots), then the observation's VM
-    selectors."""
+    """Maps observations to [0,1]^n_max: one learned bandwidth fraction per
+    occupied task slot, 0 on padded slots."""
+
+    IN_COLS = _STATE_COLS
 
     def copy(self) -> "TaskBlockActor":
         return TaskBlockActor(self.net.copy(), self.n_max, self.state_scale,
@@ -347,12 +345,9 @@ class TaskBlockActor(_TaskBlock):
         a `_Features` holder of K rows."""
         single = not isinstance(states, _Features) and np.asarray(states).ndim == 1
         feats = self._features(states)
-        k = feats.k
         out, cache = self.net.forward(feats.rows, return_cache=True)
-        fractions = np.zeros(k * self.n_max)
-        fractions[feats.valid] = out[:, 0]
-        actions = np.concatenate([fractions.reshape(k, self.n_max), feats.selectors],
-                                 axis=1)
+        actions = np.zeros((feats.k, self.n_max))
+        actions.reshape(-1)[feats.valid] = out[:, 0]
         if single:
             actions = actions[0]
         if return_cache:
@@ -360,11 +355,10 @@ class TaskBlockActor(_TaskBlock):
         return actions
 
     def backward(self, cache, d_actions: np.ndarray) -> dict:
-        """Parameter gradients; only the occupied slots' fractions in
-        ``d_actions`` reach the net, the selectors being read from the
-        observation."""
+        """Parameter gradients for a (K, n_max) upstream; only the occupied
+        slots' entries reach the net."""
         d_actions = np.atleast_2d(np.asarray(d_actions, dtype=float))
-        d_out = d_actions[:, :self.n_max].reshape(-1)[cache["valid"]]
+        d_out = d_actions.reshape(-1)[cache["valid"]]
         grads, _ = self.net.backward(cache["net"], d_out[:, None], input_grad=False)
         return grads
 
@@ -375,8 +369,7 @@ class TaskBlockCritic(_TaskBlock):
     Each occupied slot sees the shared state features plus its own
     fraction, the total committed fraction, and its post-projection
     allocated-over-needed bandwidth margin.  Padded slots get no row, so
-    their fractions, which `decode_action` drops, count for nothing; VM
-    selectors are the observation's."""
+    their fractions, which `decode_action` drops, count for nothing."""
 
     IN_COLS = _STATE_COLS + 3
 
@@ -390,7 +383,7 @@ class TaskBlockCritic(_TaskBlock):
         action_arr = np.atleast_2d(np.asarray(actions, dtype=float))
         k, n = feats.k, self.n_max
         sample = feats.valid // n
-        fractions = action_arr[:, :n].reshape(-1)[feats.valid]
+        fractions = action_arr.reshape(-1)[feats.valid]
         total = np.bincount(sample, fractions, minlength=k)
         denom = np.maximum(total, 1.0)
         ratio = 1.0 / np.maximum(feats.need, 1e-9)
@@ -420,8 +413,8 @@ class TaskBlockCritic(_TaskBlock):
 
     def backward(self, cache, d_values: np.ndarray, *, action_grad: bool = True):
         """Gradients of sum(d_values * Q) w.r.t. parameters and actions; the
-        action gradient is None, and not computed, when ``action_grad`` is
-        false.  Selectors and padded fractions get a zero gradient."""
+        (K, n_max) action gradient is None, and not computed, when
+        ``action_grad`` is false.  Padded fractions get a zero gradient."""
         aux = cache["aux"]
         k, n, sample = aux["k"], self.n_max, aux["sample"]
         d_values = np.asarray(d_values, dtype=float).reshape(k)
@@ -443,10 +436,8 @@ class TaskBlockCritic(_TaskBlock):
                                 minlength=k)
             correction = np.where(over, coeff / denom ** 2, 0.0)
             d_frac -= correction[sample]
-        d_fractions = np.zeros(k * n)
-        d_fractions[aux["valid"]] = d_frac
-        d_actions = np.zeros((k, 2 * n))
-        d_actions[:, :n] = d_fractions.reshape(k, n)
+        d_actions = np.zeros((k, n))
+        d_actions.reshape(-1)[aux["valid"]] = d_frac
         return grads, d_actions
 
 
@@ -508,31 +499,28 @@ def make_agent(n_max: int, state_scale: np.ndarray, frequency: float,
 
 def act(agent: AgentBundle, state: np.ndarray, explore: bool,
         rng: np.random.Generator | None = None, clip: bool = True) -> np.ndarray:
-    """Deterministic policy output, plus Gaussian exploration noise on the
-    fractions when exploring; clipped back to the unit box unless
-    clip=False."""
+    """Deterministic policy output, plus Gaussian exploration noise when
+    exploring; clipped back to the unit box unless clip=False."""
     a = agent.actor.forward(state)
     if explore:
         if rng is None:
             raise ValueError("exploration requires an rng")
-        fractions = a[..., :agent.n_max]
-        fractions += rng.normal(0.0, agent.noise_scale, size=fractions.shape)
+        a += rng.normal(0.0, agent.noise_scale, size=a.shape)
     return np.clip(a, 0.0, 1.0) if clip else a
 
 
 def td_target(agent: AgentBundle, batch, gamma: float, smooth_std: float,
               smooth_clip: float, rng: np.random.Generator) -> np.ndarray:
     """Backup values: reward plus the discounted minimum of the two target
-    critics at the smoothed target action (clipped noise on its fractions).
+    critics at the smoothed target action (clipped noise added to it).
 
     ``batch`` is (states, actions, rewards, next_states); either state half
     may be raw observations or a `_Features` holder."""
     _, _, rewards, next_states = batch
     next_states = agent.target_actor._features(next_states)
     a2 = agent.target_actor.forward(next_states)
-    fractions = a2[:, :agent.n_max]
-    fractions += np.clip(rng.normal(0.0, smooth_std, size=fractions.shape),
-                         -smooth_clip, smooth_clip)
+    a2 += np.clip(rng.normal(0.0, smooth_std, size=a2.shape),
+                  -smooth_clip, smooth_clip)
     a2 = np.clip(a2, 0.0, 1.0)
     q1 = agent.target_critic1.forward(next_states, a2)
     q2 = agent.target_critic2.forward(next_states, a2)
@@ -621,8 +609,8 @@ def distill(current: AgentBundle, peer: AgentBundle, batch,
     batch-wide, preserving their relative ordering.
 
     The regression covers occupied task slots only: both actors output 0 on
-    padded slots and the same selectors everywhere, so those entries add
-    nothing to the loss or its gradient."""
+    padded slots, so those entries add nothing to the loss or its
+    gradient."""
     feats = current.actor._features(batch[0])
     k = feats.k
     # Each actor runs once: its action is both the one its twin critics
@@ -684,29 +672,42 @@ def load_agent(path) -> AgentBundle:
     """Read an agent checkpoint.  Float32 or float64 arrays load (float64
     nets, as older checkpoints store them, are cast to float32); any other
     dtype, a non-finite value or a shape the checkpoint's own metadata does
-    not build raises CheckpointError naming the array."""
+    not build raises CheckpointError naming the array, and malformed
+    metadata raises it naming the field."""
     arrays, meta = checkpoint.load_arrays(path)
     if meta.get("format") != "agent":
         raise CheckpointError(f"{path}: not an agent checkpoint")
     try:
         scale = arrays["state_scale"]
         n_max = meta["n_max"]
+        if type(n_max) is not int or n_max < 1:
+            raise CheckpointError(f"{path}: metadata field 'n_max' must be an "
+                                  f"integer >= 1, got {n_max!r}")
         frequency = meta["frequency"]
         checkpoint.check_array(path, "state_scale", scale, (state_dim(n_max),))
         scale = scale.astype(float)
+        if not isinstance(meta["nets"], dict):
+            raise CheckpointError(f"{path}: metadata field 'nets' must be an object")
         wrappers = {}
         for net_name in _NETS:
+            wrapper_cls = TaskBlockActor if "actor" in net_name else TaskBlockCritic
             spec = meta["nets"][net_name]
             params = {k.split(".", 1)[1]: v for k, v in arrays.items()
                       if k.startswith(f"{net_name}.")}
-            dims = spec["dims"]
-            for i, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
-                for key, shape in ((f"w{i}", (fan_in, fan_out)), (f"b{i}", (fan_out,))):
-                    if key not in params:
-                        raise KeyError(f"{net_name}.{key}")
-                    checkpoint.check_array(path, f"{net_name}.{key}", params[key], shape)
-            net = Network(tuple(dims), tuple(spec["activations"]), _single(params))
-            wrapper_cls = TaskBlockActor if "actor" in net_name else TaskBlockCritic
+            try:
+                dims = tuple(spec["dims"])
+                for i, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
+                    for key, shape in ((f"w{i}", (fan_in, fan_out)), (f"b{i}", (fan_out,))):
+                        if key not in params:
+                            raise KeyError(f"{net_name}.{key}")
+                        checkpoint.check_array(path, f"{net_name}.{key}", params[key], shape)
+                net = Network(dims, tuple(spec["activations"]), _single(params))
+                if (net.dims[0], net.dims[-1]) != (wrapper_cls.IN_COLS, 1):
+                    raise ValueError(f"dims {list(dims)} do not run from "
+                                     f"{wrapper_cls.IN_COLS} inputs to 1 output")
+            except (TypeError, ValueError) as exc:
+                raise CheckpointError(f"{path}: metadata field 'nets.{net_name}' is "
+                                      f"malformed: {exc}") from exc
             wrappers[net_name] = wrapper_cls(net, n_max, scale, frequency)
         return AgentBundle(
             state_scale=scale, n_max=n_max,
@@ -777,7 +778,7 @@ def train(env_current, env_peer, hp: AgentHyperparams, n_max: int,
         agent = make_agent(n_max, state_scale, hidden=tuple(hp.hidden),
                            rng=keys[idx], noise_scale=hp.noise_start,
                            distill_alpha=hp.distill_alpha, frequency=frequency)
-        buffer = ReplayBuffer(hp.buffer_capacity, state_dim(n_max), action_dim(n_max))
+        buffer = ReplayBuffer(hp.buffer_capacity, state_dim(n_max), n_max)
         sides.append(_Side(agent=agent, env=env, buffer=buffer,
                            noise_rng=keys[2 + idx], sample_rng=keys[4 + idx],
                            smooth_rng=keys[6 + idx]))

@@ -179,17 +179,14 @@ def build_config(document: dict) -> Config:
             vm_frequency=cat["vm_frequency"])
         radio = RadioParams(**doc["radio"])
         econ = EconParams(**doc["econ"])
+        fc = doc["forecaster"]
+        forecaster = ForecastConfig(**{f.name: fc[f.name] for f in fields(ForecastConfig)})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     catalog = ResourceCatalog(regions=(region_catalog,) * doc["regions"])
 
-    fc = doc["forecaster"]
-    forecaster = ForecastConfig(**{f.name: fc[f.name] for f in fields(ForecastConfig)})
-    _require(forecaster.width >= 2, "field 'forecaster.width' must be >= 2")
-    for name in ("encoder_layers", "history_window", "current_window"):
-        _require(getattr(forecaster, name) >= 1,
-                 f"field 'forecaster.{name}' must be >= 1")
     _require(fc["lr"] > 0, "field 'forecaster.lr' must be positive")
+    _require(fc["epochs"] >= 0, "field 'forecaster.epochs' must be >= 0")
 
     ag = doc["agent"]
     agent = AgentHyperparams(**dict(ag, hidden=tuple(ag["hidden"])))
@@ -200,6 +197,10 @@ def build_config(document: dict) -> Config:
     _require(agent.batch_size >= 1, "field 'agent.batch_size' must be >= 1")
     _require(agent.buffer_capacity >= agent.batch_size,
              "field 'agent.buffer_capacity' must be >= batch_size")
+    for i, width in enumerate(agent.hidden):
+        _require(width >= 1, f"field 'agent.hidden[{i}]' must be >= 1")
+    for name in ("noise_start", "noise_end", "smooth_std", "smooth_clip"):
+        _require(getattr(agent, name) >= 0, f"field 'agent.{name}' must be >= 0")
 
     top = {key: value for key, value in doc.items() if not isinstance(value, dict)}
     return Config(raw=doc, **top, radio=radio, econ=econ, traffic=traffic,

@@ -255,6 +255,17 @@ class ForecastConfig:
     history_window: int = 64
     current_window: int = 8
 
+    def __post_init__(self):
+        """Sizes are integers >= 1 (the width >= 2), ``topu_factor`` finite."""
+        for f in fields(self):
+            value, integer = getattr(self, f.name), f.name != "topu_factor"
+            minimum = 2 if f.name == "width" else 1 if integer else -math.inf
+            if (isinstance(value, bool)
+                    or not isinstance(value, int if integer else (int, float))
+                    or not minimum <= value < math.inf):
+                kind = f"an integer >= {minimum}" if integer else "a finite number"
+                raise ValueError(f"field 'forecaster.{f.name}' must be {kind}, got {value!r}")
+
 
 _PE_TABLES: dict = {}  # width -> read-only encoding of the longest length asked
 
@@ -326,6 +337,8 @@ class ForecastModel:
                                        for f in fields(ForecastConfig)})
         except KeyError as exc:
             raise CheckpointError(f"{path}: forecaster checkpoint lacks {exc}") from exc
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: {exc}") from exc
         model = cls(config, np.random.default_rng(0))
         missing = sorted(set(model.params) - set(arrays))
         if missing:

@@ -137,8 +137,7 @@ def make_policy(tag: str, config: Config, rng: np.random.Generator,
                 raw = agent_mod.act(agent_bundle, obs, explore=False)
             else:
                 raw = agent_mod.hybrid_policy(agent_bundle, peer_bundle, obs)
-            return agent_mod.decode_action(raw, region.bandwidth,
-                                           region.vm_count, len(region.tasks))
+            return agent_mod.decode_action(raw, obs)
         return sliceoff_policy
     raise ConfigError(f"unknown policy tag {tag!r}; choose from {POLICY_TAGS}")
 

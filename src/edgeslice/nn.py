@@ -129,7 +129,7 @@ class Network:
     it, so outputs and gradients have it too.
     """
 
-    def __init__(self, dims, activations, params: dict, adam: AdamState | None = None):
+    def __init__(self, dims, activations, params: dict):
         if len(dims) < 2:
             raise ValueError("need at least an input and an output dimension")
         if len(activations) != len(dims) - 1:
@@ -139,7 +139,7 @@ class Network:
         self.dims = tuple(int(d) for d in dims)
         self.activations = tuple(activations)
         self.params = params
-        self.adam = adam if adam is not None else AdamState()
+        self.adam = AdamState()
 
     @classmethod
     def initialize(cls, dims, activations, rng: np.random.Generator) -> "Network":

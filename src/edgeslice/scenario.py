@@ -160,6 +160,7 @@ class OffloadEnv:
         self.slot_duration = slot_duration
         self.rng = np.random.default_rng(np.random.SeedSequence([seed, 0x0ff]))
         self.state: RegionState | None = None
+        self._obs: np.ndarray | None = None
         self._slot = 0
 
     @property
@@ -181,8 +182,10 @@ class OffloadEnv:
         return tasks[:self.n_max]
 
     def encode(self) -> np.ndarray:
-        return agent_mod.encode_state(self.state, self.family.radio,
-                                      self.family.econ, self.n_max)
+        """The current observation; `step` decodes its action against it."""
+        self._obs = agent_mod.encode_state(self.state, self.family.radio,
+                                           self.family.econ, self.n_max)
+        return self._obs
 
     def reset(self) -> np.ndarray:
         self.state = self.family.sample(self.rng)
@@ -193,14 +196,16 @@ class OffloadEnv:
     def snapshot(self):
         return self.state.copy(), self._slot
 
-    def restore(self, snap) -> None:
+    def restore(self, snap) -> np.ndarray:
+        """Return to a snapshot; returns its observation."""
         self.state = snap[0].copy()
         self._slot = snap[1]
+        return self.encode()
 
     def step(self, raw_action: np.ndarray):
-        """Apply a raw action; returns (reward, next observation, done)."""
-        action = agent_mod.decode_action(raw_action, self.state.bandwidth,
-                                         self.state.vm_count, len(self.state.tasks))
+        """Apply a raw action taken at the last observation returned;
+        returns (reward, next observation, done)."""
+        action = agent_mod.decode_action(raw_action, self._obs)
         reward, next_state, _ = step(self.state, action, self.family.econ,
                                      self.family.radio,
                                      slot_duration=self.slot_duration)
@@ -227,12 +232,11 @@ def rollout_value(env: OffloadEnv, snap, policy, rollouts: int, seed: int,
     for k in range(rollouts):
         sim = env.spawn(0)
         sim.rng = np.random.default_rng(children[k])
-        sim.restore(snap)
+        obs = sim.restore(snap)
         total = 0.0
         done = False
         steps = 0
         cap = horizon if horizon is not None else env.episode_slots
-        obs = sim.encode()
         while not done and steps < cap:
             r, obs, done = sim.step(policy(obs))
             total += r

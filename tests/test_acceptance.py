@@ -86,8 +86,7 @@ def agent_policy(bundle, cfg):
     def policy(region):
         obs = A.encode_state(region, cfg.radio, cfg.econ, bundle.n_max)
         raw = A.act(bundle, obs, explore=False)
-        return A.decode_action(raw, region.bandwidth, region.vm_count,
-                               len(region.tasks))
+        return A.decode_action(raw, obs)
     return policy
 
 
@@ -315,7 +314,7 @@ def test_td3_mechanics():
     set_constant_output(agent.target_critic1.net, 3.0)
     set_constant_output(agent.target_critic2.net, 5.0)
     s = single_task_state()
-    batch = (s[None, :], np.zeros((1, A.action_dim(4))), np.array([1.0]),
+    batch = (s[None, :], np.zeros((1, 4)), np.array([1.0]),
              s[None, :])
     y = A.td_target(agent, batch, gamma=0.9, smooth_std=0.1, smooth_clip=0.25,
                     rng=np.random.default_rng(0))

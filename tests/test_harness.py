@@ -876,6 +876,91 @@ class TestCli:
         assert f"error: field '{section}.{name}'" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("section,value,field", [
+        ("forecaster", {"head_hidden": 0}, "forecaster.head_hidden"),
+        ("forecaster", {"width": 1}, "forecaster.width"),
+        ("forecaster", {"epochs": -1}, "forecaster.epochs"),
+        ("agent", {"hidden": [0]}, "agent.hidden[0]"),
+        ("agent", {"hidden": [8, -2]}, "agent.hidden[1]"),
+        ("agent", {"noise_start": -0.1}, "agent.noise_start"),
+        ("agent", {"noise_end": -0.1}, "agent.noise_end"),
+        ("agent", {"smooth_std": -0.1}, "agent.smooth_std"),
+        ("agent", {"smooth_clip": -0.1}, "agent.smooth_clip"),
+    ])
+    def test_out_of_range_field_exit_code_2(self, tmp_path, section, value, field):
+        doc = small_doc()
+        doc[section] = dict(doc[section], **value)
+        out = tmp_path / "out"
+        result = CliRunner().invoke(cli_main, [
+            "train", "--config", write_config(tmp_path, doc), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert f"error: field {field!r}" in result.output
+        assert not out.exists()
+
+    def rewrite_meta(self, path, **fields):
+        """Replace metadata fields of a checkpoint, arrays unchanged."""
+        arrays, meta = checkpoint.load_arrays(path)
+        checkpoint.save_arrays(path, arrays, dict(meta, **fields))
+
+    @pytest.mark.parametrize("fields,named", [
+        ({"n_max": "x"}, "'n_max'"),
+        ({"n_max": 0}, "'n_max'"),
+        ({"n_max": 6.0}, "'n_max'"),
+        ({"nets": []}, "'nets'"),
+    ])
+    def test_malformed_agent_metadata_exit_code_2(self, tmp_path, fields, named):
+        path = self.write_agent(tmp_path, build_config(small_doc()))
+        self.rewrite_meta(path, **fields)
+        with pytest.raises(CheckpointError, match=named):
+            agent.load_agent(path)
+        result = self.run_sliceoff(tmp_path, path)
+        assert result.exit_code == 2, result.output
+        assert "error:" in result.output and "agent.ckpt" in result.output
+        assert named in result.output
+
+    @pytest.mark.parametrize("spec,named", [
+        ({"activations": ["relu", "swish"]}, "'nets.critic1'"),
+        ({"activations": ["relu"]}, "'nets.critic1'"),
+        ({"activations": "relu"}, "'nets.critic1'"),
+        ({"dims": 4}, "'nets.critic1'"),
+        ({"dims": [19, "4", 1]}, "'critic1.w0'"),
+    ])
+    def test_malformed_net_metadata_exit_code_2(self, tmp_path, spec, named):
+        path = self.write_agent(tmp_path, build_config(small_doc()))
+        nets = checkpoint.load_arrays(path)[1]["nets"]
+        nets["critic1"] = dict(nets["critic1"], **spec)
+        self.rewrite_meta(path, nets=nets)
+        result = self.run_sliceoff(tmp_path, path)
+        assert result.exit_code == 2, result.output
+        assert "agent.ckpt" in result.output and named in result.output
+
+    def test_net_of_another_input_width_exit_code_2(self, tmp_path):
+        # Arrays and dims agree with each other but not with the actor's
+        # feature rows, which would fail only at the first forward pass.
+        path = self.write_agent(tmp_path, build_config(small_doc()))
+        arrays, meta = checkpoint.load_arrays(path)
+        arrays["actor.w0"] = arrays["actor.w0"][1:]
+        meta["nets"]["actor"]["dims"][0] -= 1
+        checkpoint.save_arrays(path, arrays, meta)
+        result = self.run_sliceoff(tmp_path, path)
+        assert result.exit_code == 2, result.output
+        assert "'nets.actor'" in result.output and "inputs" in result.output
+
+    @pytest.mark.parametrize("fields", [{"width": "x"}, {"width": 32.5},
+                                        {"head_hidden": 0}, {"topu_factor": "x"}])
+    def test_malformed_forecaster_metadata_exit_code_2(self, tmp_path, fields):
+        cfg = build_config(small_doc())
+        path = tmp_path / "forecaster.ckpt"
+        ForecastModel(cfg.forecaster, np.random.default_rng(0)).save(path)
+        self.rewrite_meta(path, **fields)
+        named = f"'forecaster.{next(iter(fields))}'"
+        with pytest.raises(CheckpointError, match=named):
+            ForecastModel.load(path)
+        result = self.run_sliceoff(tmp_path, self.write_agent(tmp_path, cfg),
+                                   "--forecaster-checkpoint", str(path))
+        assert result.exit_code == 2, result.output
+        assert "forecaster.ckpt" in result.output and named in result.output
+
     def test_constraint_violation_exit_code_6(self, tmp_path, monkeypatch):
         def broken_run(*args, **kwargs):
             raise ConstraintViolation("task 0 assigned to VM 7 outside the 2 rented VMs")
