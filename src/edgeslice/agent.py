@@ -118,8 +118,9 @@ def encode_state(region: RegionState, radio: RadioParams, econ: EconParams,
 
 def decode_action(raw: np.ndarray, obs: np.ndarray) -> AllocationAction:
     """Map an [0,1]^n_max vector of bandwidth fractions, taken at observation
-    ``obs``, to an allocation for the observation's users: their fractions,
-    rescaled when over-committed, and the VMs of its placement."""
+    ``obs``, to an allocation for the observation's users: their fractions
+    (clipped, not rescaled: `env.step` projects them), and the VMs of its
+    placement."""
     raw = np.clip(np.asarray(raw, dtype=float), 0.0, 1.0)
     obs = np.asarray(obs, dtype=float)
     n_max = raw.size
@@ -129,7 +130,7 @@ def decode_action(raw: np.ndarray, obs: np.ndarray) -> AllocationAction:
     vm_count, n_users = int(obs[1]), int(obs[2])
     selectors = obs[_block(n_max, "selector")][:n_users]
     vm = np.minimum((selectors * vm_count).astype(int), vm_count - 1)
-    return AllocationAction(bw_fraction=raw[:n_users], vm_index=vm).projected()
+    return AllocationAction(bw_fraction=raw[:n_users], vm_index=vm)
 
 
 def feature_scale(n_max: int, bw_ref: float, rate_ref: float,
@@ -634,10 +635,11 @@ def hybrid_policy(current: AgentBundle, peer: AgentBundle,
                   state: np.ndarray) -> np.ndarray:
     """State-wise selector between the two deterministic policies: follow
     whichever agent's twin-critic value is higher (the peer on a strictly
-    positive peer advantage)."""
-    xi = advantage(peer, current, state)
-    chosen = peer if xi > 0 else current
-    return act(chosen, state, explore=False)
+    positive peer advantage).  One featurisation, one pass per actor."""
+    feats = current.actor._features(state)
+    a_peer, a_current = peer.actor.forward(feats), current.actor.forward(feats)
+    xi = _twin_value(peer, feats, a_peer) - _twin_value(current, feats, a_current)
+    return np.clip(a_peer[0] if xi[0] > 0 else a_current[0], 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -199,7 +199,7 @@ def build_config(document: dict) -> Config:
              "field 'agent.buffer_capacity' must be >= batch_size")
     for i, width in enumerate(agent.hidden):
         _require(width >= 1, f"field 'agent.hidden[{i}]' must be >= 1")
-    for name in ("noise_start", "noise_end", "smooth_std", "smooth_clip"):
+    for name in ("epochs", "noise_start", "noise_end", "smooth_std", "smooth_clip"):
         _require(getattr(agent, name) >= 0, f"field 'agent.{name}' must be >= 0")
 
     top = {key: value for key, value in doc.items() if not isinstance(value, dict)}

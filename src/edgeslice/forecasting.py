@@ -7,6 +7,10 @@ self-attention over the recent window plus placeholder positions, then
 cross-attention into the encoder output; a two-layer head maps each
 placeholder position to a predicted count.
 
+The input windows are model hyperparameters: `build_io` cuts them from the
+model's `ForecastConfig`, which its checkpoint stores, so a loaded model
+reads the windows it was trained on.
+
 Every pass runs all regions at once: sequences are stacked as (regions,
 length, channels) and each matmul is a stacked `@`, which multiplies region
 by region, so a region's outputs have the bits of a pass over that region
@@ -37,11 +41,10 @@ _ELU, _DELU = activation("elu")
 
 @dataclass
 class TrafficSeries:
-    """User counts per (region, long slot), plus windowing defaults."""
+    """Validated user counts per (region, long slot); a model cuts its own
+    input windows from them (`build_io`)."""
 
     counts: np.ndarray
-    history_window: int = 64  # most recent slots fed to the encoder
-    current_window: int = 8   # recent slots prefixed to the decoder input
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=float)
@@ -51,8 +54,6 @@ class TrafficSeries:
             raise ValueError("user counts must be finite")
         if self.counts.size and np.any(self.counts < 0):
             raise ValueError("user counts must be nonnegative")
-        if self.history_window < 1 or self.current_window < 1:
-            raise ValueError("windows must be at least 1 slot")
 
     @property
     def num_regions(self) -> int:
@@ -63,16 +64,17 @@ class TrafficSeries:
         return self.counts.shape[1]
 
 
-def build_io(series: TrafficSeries, horizon: int):
-    """Encoder input (recent history) and decoder input (current window
-    followed by a zero placeholder of length ``horizon``)."""
+def build_io(counts: np.ndarray, horizon: int, config: ForecastConfig):
+    """Encoder input (the last ``config.history_window`` slots of (regions,
+    slots) ``counts``) and decoder input (the last ``config.current_window``
+    slots followed by a zero placeholder of length ``horizon``)."""
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    if series.num_slots < 1:
+    if counts.shape[1] < 1:
         raise ValueError("cannot build model inputs from an empty history")
-    x_en = series.counts[:, -series.history_window:]
-    x_cur = series.counts[:, -series.current_window:]
-    placeholder = np.zeros((series.num_regions, horizon))
+    x_en = counts[:, -config.history_window:]
+    x_cur = counts[:, -config.current_window:]
+    placeholder = np.zeros((counts.shape[0], horizon))
     x_de = np.concatenate([x_cur, placeholder], axis=1)
     return x_en, x_de
 
@@ -252,8 +254,8 @@ class ForecastConfig:
     encoder_layers: int = 2
     topu_factor: float = 5.0
     head_hidden: int = 32
-    history_window: int = 64
-    current_window: int = 8
+    history_window: int = 64  # most recent slots fed to the encoder
+    current_window: int = 8   # recent slots prefixed to the decoder input
 
     def __post_init__(self):
         """Sizes are integers >= 1 (the width >= 2), ``topu_factor`` finite."""
@@ -503,14 +505,15 @@ def forecast(model: ForecastModel, series: TrafficSeries, horizon: int) -> np.nd
     """Predict the next ``horizon`` slots per region; clamped nonnegative."""
     if series.num_regions < 1:
         raise ValueError("series covers no regions")
-    x_en, x_de = build_io(series, horizon)
+    x_en, x_de = build_io(series.counts, horizon, model.config)
     out = model._forward_region(x_en, x_de)
     return np.maximum(model._denormalize(out[:, -horizon:]), 0.0)
 
 
 def fit(model: ForecastModel, series: TrafficSeries, epochs: int, lr: float,
-        horizon: int = 1, rng: np.random.Generator | None = None):
-    """Squared-error training on sliding windows drawn from the series.
+        rng: np.random.Generator | None = None):
+    """Squared-error training on every cut t of the series from
+    ``max(2, current_window)`` on: the counts before slot t predict slot t.
 
     Returns the per-epoch mean loss trace.  epochs == 0 leaves every
     parameter bit-identical.  A non-finite loss aborts with diagnostics.
@@ -521,12 +524,9 @@ def fit(model: ForecastModel, series: TrafficSeries, epochs: int, lr: float,
         return []
     rng = rng if rng is not None else np.random.default_rng(0)
     counts = series.counts
-    n_slots = series.num_slots
-    start = max(2, series.current_window)
-    cuts = [t for t in range(start, n_slots - horizon + 1)]
+    cuts = range(max(2, model.config.current_window), series.num_slots)
     if not cuts:
-        raise ValueError(
-            f"series too short to train on: {n_slots} slots, horizon {horizon}")
+        raise ValueError(f"series too short to train on: {series.num_slots} slots")
     model.params["norm_mean"] = np.asarray(counts.mean())
     model.params["norm_std"] = np.asarray(max(counts.std(), 1e-6))
 
@@ -536,21 +536,18 @@ def fit(model: ForecastModel, series: TrafficSeries, epochs: int, lr: float,
         epoch_loss = 0.0
         for w in order:
             t = cuts[w]
-            window = TrafficSeries(counts[:, :t],
-                                   history_window=series.history_window,
-                                   current_window=series.current_window)
-            x_en, x_de = build_io(window, horizon)
-            target = model._normalize(counts[:, t:t + horizon])
+            x_en, x_de = build_io(counts[:, :t], 1, model.config)
+            target = model._normalize(counts[:, t:t + 1])
             grads = {name: np.zeros_like(arr) for name, arr in model.params.items()
                      if name not in ("norm_mean", "norm_std")}
             out, cache = model._forward_region(x_en, x_de, want_cache=True)
-            err = out[:, -horizon:] - target
+            err = out[:, -1:] - target
             denom = target.size
             loss = 0.0
             for e in err:
                 loss += float(e @ e) / denom
             d_out = np.zeros_like(out)
-            d_out[:, -horizon:] = 2.0 * err / denom
+            d_out[:, -1:] = 2.0 * err / denom
             model._backward_region(cache, d_out, grads)
             if not math.isfinite(loss):
                 raise DivergenceError(

@@ -200,11 +200,7 @@ def slice_plan(config: Config, seed: int, scenario: Scenario,
     profile = task_profile(config)
     plan = []
     for h in range(1, config.horizon + 1):
-        history = None
-        if h > 1:
-            history = TrafficSeries(scenario.counts[:, :h - 1],
-                                    history_window=config.forecaster.history_window,
-                                    current_window=config.forecaster.current_window)
+        history = TrafficSeries(scenario.counts[:, :h - 1]) if h > 1 else None
         plan.append(slicing.adjust_slices(history, config.catalog, predictor,
                                           rng_round, profile, config.radio,
                                           config.econ, config.kappa_up,
@@ -419,9 +415,7 @@ def train_forecaster(config: Config, seed: int, history_slots: int = 160):
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xf0]))
     counts = traffic_counts(config.traffic, config.regions,
                             history_slots, rng, n_max=config.n_max)
-    series = TrafficSeries(counts,
-                           history_window=config.forecaster.history_window,
-                           current_window=config.forecaster.current_window)
+    series = TrafficSeries(counts)
     model = ForecastModel(config.forecaster,
                           np.random.default_rng(np.random.SeedSequence([seed, 0xf1])))
     trace = fit(model, series, epochs=config.forecaster_epochs,

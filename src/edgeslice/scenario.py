@@ -110,7 +110,8 @@ class InstanceFamily:
 
     Rented bandwidth is drawn as a headroom factor times the sum of the
     tasks' empty-queue minimal bandwidths, so instances range from
-    comfortable to oversubscribed."""
+    comfortable to oversubscribed.  Unservable tasks add nothing; with no
+    servable task the base is the total data over the deadline."""
 
     task_spec: dict
     radio: RadioParams
@@ -124,9 +125,10 @@ class InstanceFamily:
         n = int(rng.integers(self.n_range[0], self.n_range[1] + 1))
         tasks = sample_tasks(self.task_spec, n, rng)
         vm_count = int(self.vm_counts[rng.integers(0, len(self.vm_counts))])
-        base = sum(minimal_bandwidth(t, 0.0, self.frequency, self.radio, self.econ)
-                   for t in tasks)
-        if not math.isfinite(base) or base <= 0.0:
+        needs = [minimal_bandwidth(t, 0.0, self.frequency, self.radio, self.econ)
+                 for t in tasks]
+        base = sum(need for need in needs if math.isfinite(need))
+        if base <= 0.0:
             base = sum(t.data_size for t in tasks) / self.econ.deadline
         bandwidth = float(rng.uniform(*self.headroom)) * base
         return RegionState(region=0, bandwidth=bandwidth, vm_count=vm_count,

@@ -500,8 +500,7 @@ def test_forecaster_utility():
         traffic = {"base": 8.0, "amplitude": 4.0, "period": 12.0, "noise_std": 0.7}
         counts = traffic_counts(traffic, regions=3, horizon=140, rng=rng)
         split = 100
-        train_series = TrafficSeries(counts[:, :split], history_window=48,
-                                     current_window=8)
+        train_series = TrafficSeries(counts[:, :split])
         config = ForecastConfig(width=16, encoder_layers=2, head_hidden=16,
                                 history_window=48, current_window=8)
         model = ForecastModel(config, np.random.default_rng(
@@ -511,8 +510,7 @@ def test_forecaster_utility():
         model_se = persist_se = 0.0
         n_eval = 0
         for t in range(split, counts.shape[1]):
-            window = TrafficSeries(counts[:, :t], history_window=48,
-                                   current_window=8)
+            window = TrafficSeries(counts[:, :t])
             pred = forecast(model, window, 1)[:, 0]
             base = baseline_forecast(window, 1, "persistence")[:, 0]
             truth = counts[:, t]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from edgeslice import agent as A
-from edgeslice.env import EconParams, RadioParams, RegionState, TaskSpec
+from edgeslice.env import EconParams, RadioParams, RegionState, TaskSpec, step
 from edgeslice.scenario import InstanceFamily, OffloadEnv
 
 RADIO = RadioParams(upload_power=3e-6, noise_power=1e-9,
@@ -136,8 +136,15 @@ class TestDecodeAction:
         assert A.decode_action(np.zeros(N_MAX), obs).vm_index[0] == 2
 
     def test_overcommitment_rescaled(self):
-        action = A.decode_action(np.full(N_MAX, 0.5), self.obs(N_MAX))
-        assert action.bw_fraction.sum() == pytest.approx(1.0)
+        # Decoding keeps the over-committed fractions; `step` rescales them,
+        # so it settles the decoded action exactly as its projected copy.
+        region = region_of([self.TASK] * N_MAX)
+        obs = A.encode_state(region, RADIO, ECON, N_MAX)
+        action = A.decode_action(np.full(N_MAX, 0.5), obs)
+        assert action.bw_fraction.sum() == 2.0
+        settled = [step(region.copy(), a, ECON, RADIO)
+                   for a in (action, action.projected())]
+        assert repr(settled[0]) == repr(settled[1])
 
     def test_padded_entries_ignored(self):
         action = A.decode_action(np.ones(N_MAX), self.obs(2))
@@ -446,6 +453,19 @@ class TestHybridPolicy:
             a = A.act(current, s, explore=False)
             b = A.act(peer, s, explore=False)
             assert np.array_equal(h, a) or np.array_equal(h, b)
+
+    def test_featurises_once_per_decision(self, monkeypatch):
+        calls = []
+        state_rows = A._TaskBlock._state_rows
+
+        def counted(block, states):
+            calls.append(1)
+            return state_rows(block, states)
+        monkeypatch.setattr(A._TaskBlock, "_state_rows", counted)
+        current = default_agent(np.random.default_rng(21))
+        peer = default_agent(np.random.default_rng(22))
+        A.hybrid_policy(current, peer, single_task_state())
+        assert len(calls) == 1
 
 
 class TestSharedFeatures:

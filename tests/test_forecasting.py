@@ -36,25 +36,23 @@ class TestTrafficSeries:
 
 class TestBuildIO:
     def test_shape_law(self):
-        series = TrafficSeries(np.arange(12.0).reshape(2, 6), current_window=3)
-        x_en, x_de = build_io(series, horizon=2)
+        counts = np.arange(12.0).reshape(2, 6)
+        x_en, x_de = build_io(counts, 2, ForecastConfig(current_window=3))
         assert x_de.shape == (2, 5)
         assert np.all(x_de[:, -2:] == 0)
 
     def test_decoder_prefix_is_current_window(self):
-        series = TrafficSeries(np.arange(12.0).reshape(2, 6), current_window=3)
-        _, x_de = build_io(series, horizon=2)
-        assert np.array_equal(x_de[:, :3], series.counts[:, -3:])
+        counts = np.arange(12.0).reshape(2, 6)
+        _, x_de = build_io(counts, 2, ForecastConfig(current_window=3))
+        assert np.array_equal(x_de[:, :3], counts[:, -3:])
 
     def test_empty_history_rejected(self):
-        series = TrafficSeries(np.zeros((2, 0)))
         with pytest.raises(ValueError):
-            build_io(series, horizon=1)
+            build_io(np.zeros((2, 0)), 1, ForecastConfig())
 
     def test_bad_horizon_rejected(self):
-        series = TrafficSeries(np.ones((1, 4)))
         with pytest.raises(ValueError):
-            build_io(series, horizon=0)
+            build_io(np.ones((1, 4)), 0, ForecastConfig())
 
 
 class TestProbsparseAttention:
@@ -180,21 +178,18 @@ def small_model(width=8, layers=2, seed=0):
 class TestForecast:
     def test_output_shape(self):
         model = small_model()
-        series = TrafficSeries(np.random.default_rng(0).uniform(0, 10, (3, 20)),
-                               history_window=16, current_window=4)
+        series = TrafficSeries(np.random.default_rng(0).uniform(0, 10, (3, 20)))
         out = forecast(model, series, horizon=2)
         assert out.shape == (3, 2)
 
     def test_deterministic(self):
         model = small_model(seed=3)
-        series = TrafficSeries(np.random.default_rng(1).uniform(0, 10, (2, 12)),
-                               history_window=16, current_window=4)
+        series = TrafficSeries(np.random.default_rng(1).uniform(0, 10, (2, 12)))
         assert np.array_equal(forecast(model, series, 2), forecast(model, series, 2))
 
     def test_nonnegative_and_finite(self):
         model = small_model(seed=5)
-        series = TrafficSeries(np.random.default_rng(2).uniform(0, 30, (2, 15)),
-                               history_window=16, current_window=4)
+        series = TrafficSeries(np.random.default_rng(2).uniform(0, 30, (2, 15)))
         out = forecast(model, series, 3)
         assert np.all(out >= 0) and np.all(np.isfinite(out))
 
@@ -215,7 +210,7 @@ class TestStackedRegions:
         counts = rng.uniform(0, 30, (3, slots))
         model.params["norm_mean"] = np.asarray(counts.mean())
         model.params["norm_std"] = np.asarray(max(counts.std(), 1e-6))
-        x_en, x_de = build_io(TrafficSeries(counts), horizon)
+        x_en, x_de = build_io(counts, horizon, model.config)
         out, cache = model._forward_region(x_en, x_de, want_cache=True)
         d_out = np.zeros_like(out)
         d_out[:, -horizon:] = rng.normal(size=(3, horizon))
@@ -243,8 +238,7 @@ class TestStackedRegions:
         monkeypatch.setattr(ForecastModel, "_forward_region", counted(forward, "forward"))
         monkeypatch.setattr(ForecastModel, "_backward_region", counted(backward, "backward"))
         model = small_model(seed=19)
-        series = TrafficSeries(np.random.default_rng(6).uniform(0, 9, (3, 12)),
-                               history_window=16, current_window=4)
+        series = TrafficSeries(np.random.default_rng(6).uniform(0, 9, (3, 12)))
         fit(model, series, epochs=2, lr=1e-3, rng=np.random.default_rng(0))
         windows = 2 * (12 - 4)
         assert counts == {"forward": windows, "backward": windows}
@@ -275,16 +269,14 @@ class TestFit:
     def test_zero_epochs_leaves_parameters_bit_identical(self):
         model = small_model(seed=7)
         before = {k: v.copy() for k, v in model.params.items()}
-        series = TrafficSeries(np.random.default_rng(0).uniform(0, 9, (2, 20)),
-                               history_window=16, current_window=4)
+        series = TrafficSeries(np.random.default_rng(0).uniform(0, 9, (2, 20)))
         trace = fit(model, series, epochs=0, lr=1e-3)
         assert trace == []
         assert all(np.array_equal(before[k], model.params[k]) for k in before)
 
     def test_constant_series_loss_decreases_to_small(self):
         model = small_model(seed=9)
-        series = TrafficSeries(np.full((2, 24), 5.0), history_window=16,
-                               current_window=4)
+        series = TrafficSeries(np.full((2, 24), 5.0))
         trace = fit(model, series, epochs=20, lr=1e-3,
                     rng=np.random.default_rng(0))
         assert trace[-1] <= trace[0]
@@ -332,8 +324,7 @@ class TestFit:
     def test_divergence_aborts_with_diagnostic(self):
         model = small_model(seed=13)
         model.params["head_w1"][:] = np.inf
-        series = TrafficSeries(np.random.default_rng(0).uniform(0, 9, (2, 16)),
-                               history_window=16, current_window=4)
+        series = TrafficSeries(np.random.default_rng(0).uniform(0, 9, (2, 16)))
         with pytest.raises(DivergenceError):
             fit(model, series, epochs=1, lr=1e-3, rng=np.random.default_rng(0))
 
@@ -362,8 +353,7 @@ class TestBaselineForecast:
 class TestCheckpointRoundTrip:
     def test_save_load_preserves_outputs(self, tmp_path):
         model = small_model(seed=17)
-        series = TrafficSeries(np.random.default_rng(3).uniform(0, 9, (2, 14)),
-                               history_window=16, current_window=4)
+        series = TrafficSeries(np.random.default_rng(3).uniform(0, 9, (2, 14)))
         fit(model, series, epochs=2, lr=1e-3, rng=np.random.default_rng(0))
         path = tmp_path / "model.ckpt"
         model.save(path)

@@ -14,6 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 from edgeslice import agent, checkpoint, harness, scenario, slicing
+from edgeslice.baselines import minimal_bandwidth
 from edgeslice.cli import main as cli_main
 from edgeslice.config import DEFAULT_CONFIG, build_config, load_config
 from edgeslice.env import SettlementRecord, TaskSpec, horizon_profit
@@ -152,6 +153,37 @@ class TestSampleTasks:
         spec = dict(build_config({}).tasks, priority_probs=probs)
         with pytest.raises(ValueError):
             sample_tasks(spec, 3, np.random.default_rng(0))
+
+
+class TestInstanceFamily:
+    @staticmethod
+    def draws(density, seed=3, count=20):
+        """Instances of a family whose headroom factor is exactly 0.8, each
+        with its tasks' empty-queue minimal bandwidths."""
+        cfg = build_config({"tasks": {"compute_density": density}})
+        family = scenario.InstanceFamily.from_config(cfg, headroom=(0.8, 0.8))
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            region = family.sample(rng)
+            yield region, [minimal_bandwidth(t, 0.0, family.frequency, family.radio,
+                                             family.econ) for t in region.tasks]
+
+    def test_unservable_tasks_add_nothing(self):
+        # Dense tasks: some need longer than the deadline on an idle VM.
+        mixed = 0
+        for region, needs in self.draws([500.0, 2000.0]):
+            finite = [need for need in needs if math.isfinite(need)]
+            if 0 < len(finite) < len(needs):
+                mixed += 1
+                assert region.bandwidth == pytest.approx(0.8 * sum(finite), rel=1e-12)
+        assert mixed > 0
+
+    def test_no_servable_task_sizes_by_data_over_deadline(self):
+        deadline = build_config({}).econ.deadline
+        for region, needs in self.draws([5000.0, 6000.0], count=5):
+            assert not any(math.isfinite(need) for need in needs)
+            data = sum(t.data_size for t in region.tasks)
+            assert region.bandwidth == pytest.approx(0.8 * data / deadline, rel=1e-12)
 
 
 class TestGenerateScenario:
@@ -357,6 +389,22 @@ class TestRun:
         after = contents()
         np.testing.assert_array_equal(after[0], before[0])
         assert after[1] == before[1]
+
+    def test_forecaster_checkpoint_brings_its_windows(self, tmp_path):
+        # A forecaster trained at windows (16, 4) plans the same slices under
+        # a config with the default windows (64, 8) as under its own.
+        own = build_config(small_doc(horizon=20))
+        path = tmp_path / "forecaster.ckpt"
+        harness.train_forecaster(own, seed=0, history_slots=40)[0].save(path)
+        model = ForecastModel.load(path)
+        fc = {k: v for k, v in small_doc()["forecaster"].items()
+              if k not in ("history_window", "current_window")}
+        default_windows = build_config(small_doc(horizon=20, forecaster=fc))
+        assert default_windows.forecaster.history_window == 64
+        for seed in range(2):
+            scenario_s = generate_scenario(own, seed)
+            assert (harness.slice_plan(default_windows, seed, scenario_s, model)
+                    == harness.slice_plan(own, seed, scenario_s, model))
 
     def test_plan_must_cover_the_horizon(self):
         cfg = build_config(small_doc())
@@ -886,6 +934,7 @@ class TestCli:
         ("agent", {"noise_end": -0.1}, "agent.noise_end"),
         ("agent", {"smooth_std": -0.1}, "agent.smooth_std"),
         ("agent", {"smooth_clip": -0.1}, "agent.smooth_clip"),
+        ("agent", {"epochs": -1}, "agent.epochs"),
     ])
     def test_out_of_range_field_exit_code_2(self, tmp_path, section, value, field):
         doc = small_doc()
