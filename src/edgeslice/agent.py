@@ -583,16 +583,6 @@ def value_estimate(agent: AgentBundle, states) -> np.ndarray:
     return _twin_value(agent, feats, agent.actor.forward(feats))
 
 
-def advantage(peer: AgentBundle, current: AgentBundle, state: np.ndarray):
-    """Peer-minus-current value gap at a state (positive: peer looks better).
-
-    Each side is judged by its own twin critics at its own action."""
-    state = np.asarray(state, dtype=float)
-    feats = current.actor._features(state)
-    xi = value_estimate(peer, feats) - value_estimate(current, feats)
-    return float(xi[0]) if state.ndim == 1 else xi
-
-
 def distill_weight(alpha: float, xi) -> np.ndarray:
     """Confidence weight exp(alpha * advantage), exponent clipped to +-50
     so extreme value gaps stay finite."""

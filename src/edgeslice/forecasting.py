@@ -17,8 +17,9 @@ by region, so a region's outputs have the bits of a pass over that region
 alone.  Parameter gradients add the regions' contributions in region order.
 
 All gradients are hand-derived reverse mode in float64; selection indices
-(top-u queries, max-pool argmax) are treated as constants.  Simple
-persistence / moving-average baselines live here too.
+(top-u queries, max-pool argmax) are treated as constants.  The
+persistence baseline, the forecast used without a trained model, lives
+here too.
 """
 
 from __future__ import annotations
@@ -558,23 +559,10 @@ def fit(model: ForecastModel, series: TrafficSeries, epochs: int, lr: float,
     return trace
 
 
-def baseline_forecast(series: TrafficSeries, horizon: int, kind: str = "persistence",
-                      window: int = 2) -> np.ndarray:
-    """Non-learned reference predictors.
-
-    persistence repeats the last observed count; moving_average repeats the
-    mean of the trailing ``window`` counts."""
+def baseline_forecast(series: TrafficSeries, horizon: int) -> np.ndarray:
+    """Persistence: every future slot repeats the last observed count."""
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     if series.num_slots == 0:
         raise ValueError("cannot forecast from an empty history")
-    if kind == "persistence":
-        level = series.counts[:, -1]
-    elif kind == "moving_average":
-        if series.num_slots < window:
-            raise ValueError(
-                f"moving average window {window} exceeds history {series.num_slots}")
-        level = series.counts[:, -window:].mean(axis=1)
-    else:
-        raise ValueError(f"unknown baseline kind {kind!r}")
-    return np.tile(level[:, None], (1, horizon))
+    return np.tile(series.counts[:, -1:], (1, horizon))

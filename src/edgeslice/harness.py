@@ -13,8 +13,11 @@ import json
 import logging
 import math
 import os
+import struct
+from array import array
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
+from itertools import starmap
 
 import numpy as np
 
@@ -60,6 +63,56 @@ class SlotMetrics:
                 self.hit_rate, self.bw_util, self.vm_util)
 
 
+# The typecodes of the log's columns, in `SettlementRecord` field order.
+_COLUMN_CODES = "qqqqddddd"
+
+
+@lru_cache(maxsize=256)
+def _column_packers(n: int) -> tuple:
+    """Per column, the packer of ``n`` values into its machine format: one
+    call converts a slot's values several times faster than
+    `array.extend`, which converts them one at a time."""
+    return tuple(struct.Struct(f"{n}{code}").pack for code in _COLUMN_CODES)
+
+
+class Settlements:
+    """A run's settlement log: the nine `SettlementRecord` fields in nine
+    typed columns, 64-bit ints for the four keys and doubles for the five
+    times and revenues, so the log holds no Python object per task.
+
+    ``len()`` counts the records; iterating yields them as
+    `SettlementRecord`s in settlement order, built afresh on every pass."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self):
+        self.columns = tuple(array(code) for code in _COLUMN_CODES)
+
+    def extend(self, records) -> tuple:
+        """Append a sequence of records, in order; returns their nine
+        fields as tuples."""
+        fields = tuple(zip(*records)) or ((),) * len(self.columns)
+        for column, pack, values in zip(self.columns,
+                                        _column_packers(len(records)), fields):
+            column.frombytes(pack(*values))
+        return fields
+
+    def rows(self):
+        """The records as plain 9-tuples, in settlement order."""
+        return zip(*self.columns)
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __eq__(self, other):
+        if not isinstance(other, Settlements):
+            return NotImplemented
+        return self.columns == other.columns
+
+    def __iter__(self):
+        return starmap(SettlementRecord, self.rows())
+
+
 @dataclass
 class MetricsReport:
     """Per-long-slot rows plus run totals for one (config, policy, seed)."""
@@ -67,7 +120,7 @@ class MetricsReport:
     policy: str
     seed: int
     rows: list = field(default_factory=list)
-    settlements: list = field(default_factory=list)
+    settlements: Settlements = field(default_factory=Settlements)
     rental_log: list = field(default_factory=list)  # (h, cost)
 
     @property
@@ -169,7 +222,7 @@ def make_predictor(model: ForecastModel | None, n_max: int):
     Predictions are capped at the physical per-region user bound."""
     def predict(series, horizon):
         if model is None:
-            counts = baseline_forecast(series, horizon, "persistence")
+            counts = baseline_forecast(series, horizon)
         else:
             counts = forecast(model, series, horizon)
         return np.minimum(counts, n_max)
@@ -247,9 +300,9 @@ def run(config: Config, policy_tag: str, seed: int, agent_bundle=None,
                 pending=(0.0,) * vm_i, long_slot=h, short_slot=1))
 
         revenue_h = 0.0
-        offloaded = hits = 0
         bw_util_sum = vm_util_sum = 0.0
         cells = 0
+        slot_records = []
         for t in range(1, config.short_slots + 1):
             for i in range(config.regions):
                 state = states[i]
@@ -261,13 +314,9 @@ def run(config: Config, policy_tag: str, seed: int, agent_bundle=None,
                     state, action, config.econ, config.radio,
                     slot_duration=config.slot_duration)
                 revenue_h += reward
-                report_out.settlements.extend(recs)
+                slot_records += recs
                 added = 0
                 for rec in recs:
-                    if math.isfinite(rec.t_total):
-                        offloaded += 1
-                        if rec.revenue > 0:
-                            hits += 1
                     if rec.revenue > 0:
                         added += state.tasks[rec.task_id].work
                 capacity = state.vm_count * state.frequency * config.slot_duration
@@ -275,6 +324,10 @@ def run(config: Config, policy_tag: str, seed: int, agent_bundle=None,
                 bw_util_sum += min(1.0, committed)
                 cells += 1
                 states[i] = next_state
+        fields = report_out.settlements.extend(slot_records)
+        # A paid task met the (finite) deadline, so it was offloaded.
+        offloaded = sum(map(math.isfinite, fields[7]))
+        hits = sum(1 for revenue in fields[8] if revenue > 0)
         report_out.rows.append(SlotMetrics(
             h=h, revenue=revenue_h, cost=cost_h, profit=revenue_h - cost_h,
             offloaded=offloaded,
@@ -310,10 +363,10 @@ def _csv_text(header, rows) -> str:
 _SETTLEMENT_ROW = "%d,%d,%d,%d,%r,%r,%r,%r,%r\n"
 
 
-def _settlements_text(records) -> str:
+def _settlements_text(rows) -> str:
     row = _SETTLEMENT_ROW
     return ",".join(SettlementRecord.CSV_HEADER) + "\n" + "".join(
-        [row % rec for rec in records])
+        [row % rec for rec in rows])
 
 
 def report(metrics: MetricsReport, out_dir) -> dict:
@@ -329,7 +382,7 @@ def report(metrics: MetricsReport, out_dir) -> dict:
         _atomic_write(paths["metrics"], _csv_text(METRICS_HEADER, _csv_rows))
         _atomic_write(paths["summary"],
                       json.dumps(metrics.totals(), sort_keys=True, indent=2) + "\n")
-        _atomic_write(paths["settlements"], _settlements_text(metrics.settlements))
+        _atomic_write(paths["settlements"], _settlements_text(metrics.settlements.rows()))
     except OSError as exc:
         raise OSError(f"cannot write report under {out_dir}: {exc}") from exc
     return paths

@@ -512,7 +512,7 @@ def test_forecaster_utility():
         for t in range(split, counts.shape[1]):
             window = TrafficSeries(counts[:, :t])
             pred = forecast(model, window, 1)[:, 0]
-            base = baseline_forecast(window, 1, "persistence")[:, 0]
+            base = baseline_forecast(window, 1)[:, 0]
             truth = counts[:, t]
             model_se += float(((pred - truth) ** 2).sum())
             persist_se += float(((base - truth) ** 2).sum())

@@ -332,22 +332,12 @@ class TestFit:
 class TestBaselineForecast:
     def test_persistence_repeats_last(self):
         series = TrafficSeries(np.array([[1.0, 2.0, 7.0]]))
-        out = baseline_forecast(series, horizon=3, kind="persistence")
+        out = baseline_forecast(series, horizon=3)
         assert np.all(out == 7.0)
-
-    def test_moving_average(self):
-        series = TrafficSeries(np.array([[2.0, 4.0]]))
-        out = baseline_forecast(series, horizon=2, kind="moving_average", window=2)
-        assert np.all(out == 3.0)
 
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):
             baseline_forecast(TrafficSeries(np.zeros((1, 0))), 1)
-
-    def test_window_longer_than_history_rejected(self):
-        series = TrafficSeries(np.array([[1.0]]))
-        with pytest.raises(ValueError):
-            baseline_forecast(series, 1, kind="moving_average", window=3)
 
 
 class TestCheckpointRoundTrip:

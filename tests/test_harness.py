@@ -1,10 +1,12 @@
 """Configuration, scenario generation, the simulation loop, reports and CLI."""
 
 import csv
+import gc
 import hashlib
 import json
 import math
 import os
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -269,6 +271,7 @@ class TestRun:
         assert [r.as_row() for r in m1.rows] == [r.as_row() for r in m2.rows]
         assert [r.as_row() for r in m1.settlements] == \
                [r.as_row() for r in m2.settlements]
+        assert m1 == m2
 
     def test_profit_equals_log_resummation(self):
         cfg = build_config(small_doc())
@@ -303,6 +306,40 @@ class TestRun:
                 assert rec.t_exe == task.work / rate
                 served[rec.region] += 1
         assert served[0] > 0 and served[1] > 0
+
+    def test_log_iterates_the_stepped_records_in_order(self, monkeypatch):
+        stepped = []
+        step = harness.step
+
+        def recording_step(*args, **kwargs):
+            result = step(*args, **kwargs)
+            stepped.extend(result[2])
+            return result
+        monkeypatch.setattr(harness, "step", recording_step)
+        log = harness.run(build_config(small_doc()), "random", seed=3).settlements
+        assert len(log) == len(stepped) > 0
+        for _ in range(2):  # every pass yields the same records
+            records = list(log)
+            assert all(type(rec) is SettlementRecord for rec in records)
+            assert [repr(rec) for rec in records] == [repr(rec) for rec in stepped]
+
+    def test_log_keeps_no_object_per_record(self):
+        # A footprint guard: nine 8-byte columns take 72 bytes per record
+        # plus the arrays' growth slack; a list of record tuples with their
+        # boxed floats kept about 240.
+        cfg = build_config({})
+        harness.run(cfg, "greedy", seed=0)  # warm-up: caches and imports
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            log = harness.run(cfg, "greedy", seed=0).settlements
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(log) > 1000
+        assert kept <= 96 * len(log), f"{kept / len(log):.1f} bytes per record"
 
     def test_unknown_policy_rejected(self):
         cfg = build_config(small_doc())

@@ -102,3 +102,39 @@ def test_suite_runs_blas_on_one_thread():
     if threads is None:
         pytest.skip("numpy did not load OpenBLAS")
     assert threads == 1
+
+
+def test_settlement_readers_see_every_record():
+    """What the benchmark reads of a run's log and of a step's records:
+    ``_check_report`` iterates the log, the tracer's ``env.step`` hook
+    iterates the step's list."""
+    from collections import Counter
+
+    import numpy as np
+
+    from edgeslice import env, harness
+    from edgeslice.config import build_config
+    from perfbench import workloads
+
+    cfg = build_config({"horizon": 3, "short_slots": 3, "regions": 2})
+    seed = 4
+    scenario = harness.generate_scenario(cfg, seed)
+    tasks = sum(min(len(batch), cfg.n_max) for region in scenario.tasks
+                for slot in region for batch in slot)
+    report = harness.run(cfg, "greedy", seed, scenario=scenario)
+    assert workloads._check_report(report, tasks, cfg.econ.deadline) == ""
+
+    batch = next(batch for region in scenario.tasks for slot in region
+                 for batch in slot if len(batch) >= 2)
+    state = env.RegionState(region=0, bandwidth=1e7, vm_count=1,
+                            frequency=cfg.vm_frequency, tasks=batch,
+                            pending=(0.0,))
+    # Every other task rejected, the rest sharing the bandwidth.
+    fractions = np.where(np.arange(len(batch)) % 2 == 0, 1.0 / len(batch), 0.0)
+    result = env.step(state, env.AllocationAction(fractions, np.zeros(len(batch))),
+                      cfg.econ, cfg.radio)
+    counts = Counter()
+    tracer._settled(counts, None, result)
+    records = result[2]
+    assert counts["env.rejected"] == len(batch) // 2
+    assert counts["env.tasks_uploaded"] + counts["env.rejected"] == len(records)

@@ -204,7 +204,7 @@ class TestRandomizedRound:
 
 class TestAdjustSlices:
     def persistence(self, series, horizon):
-        return baseline_forecast(series, horizon, "persistence")
+        return baseline_forecast(series, horizon)
 
     def test_empty_history_returns_cheapest_default(self):
         catalog = catalog_of([(5.0, 1.0), (10.0, 3.0)])
