@@ -411,8 +411,9 @@ def step(state: RegionState, action: AllocationAction, econ: EconParams,
 
     # One slot of FIFO service drains each queue.
     drained = frequency * slot_duration
-    next_state = replace(state, tasks=[], short_slot=short_slot + 1,
-                         pending=tuple(max(0.0, work - drained) for work in pending))
+    next_state = RegionState(region, bandwidth, state.vm_count, frequency, [],
+                             tuple(max(0.0, work - drained) for work in pending),
+                             long_slot, short_slot + 1)
     return reward, next_state, records
 
 

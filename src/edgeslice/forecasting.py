@@ -16,7 +16,12 @@ length, channels) and each matmul is a stacked `@`, which multiplies region
 by region, so a region's outputs have the bits of a pass over that region
 alone.  Parameter gradients add the regions' contributions in region order.
 
-All gradients are hand-derived reverse mode in float64; selection indices
+A model computes in its trainable parameters' dtype: normalised inputs,
+targets, the positional encoding, every intermediate and every gradient
+take it.  A fresh model holds float64 draws; `fit` casts them to float32
+before its first window, and a loaded checkpoint is float32.  The
+normalisation statistics stay float64, and forecasts are denormalised in
+float64.  All gradients are hand-derived reverse mode; selection indices
 (top-u queries, max-pool argmax) are treated as constants.  The
 persistence baseline, the forecast used without a trained model, lives
 here too.
@@ -187,9 +192,9 @@ def _masked_backward(cache, d_out):
 def _conv1d_forward(x, kernel, bias):
     """Same-padded width-3 convolution over time; x is (R, L, d_in)."""
     R, L, d_in = x.shape
-    pad = np.zeros((R, L + 2, d_in))
+    pad = np.zeros((R, L + 2, d_in), dtype=x.dtype)
     pad[:, 1:-1] = x
-    y = np.empty((R, L, kernel.shape[2]))
+    y = np.empty((R, L, kernel.shape[2]), dtype=x.dtype)
     y[...] = bias
     for k in range(3):
         y += pad[:, k:k + L] @ kernel[k]
@@ -199,7 +204,7 @@ def _conv1d_forward(x, kernel, bias):
 def _conv1d_backward(pad, kernel, d_y):
     """Per-region kernel and bias gradients, and the input gradient."""
     L = d_y.shape[1]
-    d_kernel = np.empty((d_y.shape[0],) + kernel.shape)
+    d_kernel = np.empty((d_y.shape[0],) + kernel.shape, dtype=d_y.dtype)
     d_pad = np.zeros_like(pad)
     for k in range(3):
         d_kernel[:, k] = _t(pad[:, k:k + L]) @ d_y
@@ -225,7 +230,7 @@ def _maxpool_backward(cache, d_out):
     n_pairs = arg.shape[1]
     # Pool windows are disjoint, so each gradient lands in one slot.
     d_pairs = d_out[:, :n_pairs]
-    dx = np.zeros((d_out.shape[0], L, d_out.shape[2]))
+    dx = np.zeros((d_out.shape[0], L, d_out.shape[2]), dtype=d_out.dtype)
     dx[:, 0:2 * n_pairs:2] = np.where(arg, 0.0, d_pairs)
     dx[:, 1:2 * n_pairs:2] = np.where(arg, d_pairs, 0.0)
     if L % 2:
@@ -270,28 +275,38 @@ class ForecastConfig:
                 raise ValueError(f"field 'forecaster.{f.name}' must be {kind}, got {value!r}")
 
 
-_PE_TABLES: dict = {}  # width -> read-only encoding of the longest length asked
+_PE_TABLES: dict = {}  # (width, dtype) -> read-only encoding of the longest length asked
 
 
-def _positional_encoding(length: int, width: int) -> np.ndarray:
-    """Sinusoidal (length, width) encoding as a read-only view.
+def _positional_encoding(length: int, width: int, dtype=np.float64) -> np.ndarray:
+    """Sinusoidal (length, width) encoding as a read-only view in ``dtype``.
 
-    Row ``p`` depends only on ``p`` and ``width``, so each width keeps one
-    table, rebuilt only when a longer sequence arrives, and every shorter
-    length is a prefix of it: training cuts of many lengths share it."""
-    table = _PE_TABLES.get(width)
+    Row ``p`` depends only on ``p`` and ``width``, so each width and dtype
+    keeps one table, computed in float64 and rebuilt only when a longer
+    sequence arrives, and every shorter length is a prefix of it: training
+    cuts of many lengths share it."""
+    key = (width, np.dtype(dtype))
+    table = _PE_TABLES.get(key)
     if table is None or len(table) < length:
         pos = np.arange(length)[:, None]
         dim = np.arange(width)[None, :]
         angle = pos / np.power(10000.0, (2 * (dim // 2)) / width)
-        table = np.where(dim % 2 == 0, np.sin(angle), np.cos(angle))
+        table = np.where(dim % 2 == 0, np.sin(angle), np.cos(angle)).astype(dtype, copy=False)
         table.flags.writeable = False
-        _PE_TABLES[width] = table
+        _PE_TABLES[key] = table
     return table[:length]
 
 
+_DTYPE = np.float32  # the dtype `fit` trains in and a checkpoint loads as
+_STATS = ("norm_mean", "norm_std")  # float64 normalisation statistics, not trained
+
+
 class ForecastModel:
-    """Encoder-decoder traffic predictor with named float64 parameters."""
+    """Encoder-decoder traffic predictor with named parameters.
+
+    The trainable arrays share one floating dtype, in which the model
+    computes (`dtype`); construction draws them in float64.  The
+    normalisation statistics ``norm_mean`` and ``norm_std`` are float64."""
 
     FORMAT = "forecaster"
 
@@ -348,10 +363,24 @@ class ForecastModel:
             raise CheckpointError(f"{path}: forecaster checkpoint lacks {missing}")
         for name, built in model.params.items():
             checkpoint.check_array(path, name, arrays[name], built.shape)
-        # The forecaster computes in float64; float32 arrays are cast.
-        model.params = {name: arrays[name].astype(float, copy=False)
+        # Trainable arrays load as float32 (older checkpoints store float64);
+        # the statistics stay float64, so inputs are normalised with
+        # unrounded values.
+        model.params = {name: arrays[name].astype(float if name in _STATS else _DTYPE,
+                                                  copy=False)
                         for name in model.params}
         return model
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The trainable parameters' dtype, in which the model computes."""
+        return self.params["embed_w"].dtype
+
+    def _cast(self, dtype) -> None:
+        """Cast every trainable array to ``dtype``; the statistics keep theirs."""
+        for name, arr in self.params.items():
+            if name not in _STATS:
+                self.params[name] = arr.astype(dtype, copy=False)
 
     # -- internals -----------------------------------------------------------
 
@@ -360,9 +389,13 @@ class ForecastModel:
         return max(1, min(length, u))
 
     def _normalize(self, x):
-        return (x - float(self.params["norm_mean"])) / float(self.params["norm_std"])
+        """Counts scaled in float64, returned in the model's dtype."""
+        x = (x - float(self.params["norm_mean"])) / float(self.params["norm_std"])
+        return x.astype(self.dtype, copy=False)
 
     def _denormalize(self, x):
+        """Model outputs back to counts, in float64."""
+        x = x.astype(float, copy=False)
         return x * float(self.params["norm_std"]) + float(self.params["norm_mean"])
 
     def _forward_region(self, x_en, x_de, want_cache=False):
@@ -376,7 +409,7 @@ class ForecastModel:
 
         def embed(x):
             h = self._normalize(x)[..., None] * p["embed_w"] + p["embed_b"]
-            return h + _positional_encoding(x.shape[1], self.config.width)
+            return h + _positional_encoding(x.shape[1], self.config.width, self.dtype)
 
         h = embed(x_en)
         enc_caches = []
@@ -429,7 +462,7 @@ class ForecastModel:
         adds the regions' contributions in region order.  The cache is
         consumed: backward pops each entry when it reaches it."""
         p = self.params
-        d_col = np.atleast_2d(d_out)[..., None]
+        d_col = np.atleast_2d(np.asarray(d_out, dtype=self.dtype))[..., None]
         _accumulate(grads["head_b1"], d_col.sum(axis=1))
         _accumulate(grads["head_w1"], _t(cache.pop("a0")) @ d_col)
         d_a0 = d_col @ p["head_w1"].T
@@ -516,8 +549,10 @@ def fit(model: ForecastModel, series: TrafficSeries, epochs: int, lr: float,
     """Squared-error training on every cut t of the series from
     ``max(2, current_window)`` on: the counts before slot t predict slot t.
 
-    Returns the per-epoch mean loss trace.  epochs == 0 leaves every
-    parameter bit-identical.  A non-finite loss aborts with diagnostics.
+    Trains in float32: the trainable parameters are cast once, before the
+    first window, and Adam's moments take their dtype.  Returns the
+    per-epoch mean loss trace.  epochs == 0 leaves every parameter
+    bit-identical.  A non-finite loss aborts with diagnostics.
     """
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
@@ -530,6 +565,7 @@ def fit(model: ForecastModel, series: TrafficSeries, epochs: int, lr: float,
         raise ValueError(f"series too short to train on: {series.num_slots} slots")
     model.params["norm_mean"] = np.asarray(counts.mean())
     model.params["norm_std"] = np.asarray(max(counts.std(), 1e-6))
+    model._cast(_DTYPE)
 
     trace = []
     for _ in range(epochs):
@@ -540,7 +576,7 @@ def fit(model: ForecastModel, series: TrafficSeries, epochs: int, lr: float,
             x_en, x_de = build_io(counts[:, :t], 1, model.config)
             target = model._normalize(counts[:, t:t + 1])
             grads = {name: np.zeros_like(arr) for name, arr in model.params.items()
-                     if name not in ("norm_mean", "norm_std")}
+                     if name not in _STATS}
             out, cache = model._forward_region(x_en, x_de, want_cache=True)
             err = out[:, -1:] - target
             denom = target.size

@@ -4,7 +4,7 @@ adaptive-moment updates and soft target tracking.
 Plain numpy, no external autodiff.  A network computes in its parameters'
 dtype: inputs and upstream gradients are cast to it, and Adam's moments take
 the gradients' dtype.  The offloading agent's actor/critic networks hold
-float32 parameters; the forecaster's dense pieces stay float64.
+float32 parameters, and the forecaster trains in float32 with the same rule.
 """
 
 from __future__ import annotations

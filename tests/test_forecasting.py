@@ -1,14 +1,15 @@
 """Forecaster tests: IO assembly, sparse attention vs a dense reference,
 distillation block algebra, stacked vs per-region passes, training
-behavior, baselines."""
+behavior, float32 computation, baselines."""
 
 import hashlib
 import math
+from copy import deepcopy
 
 import numpy as np
 import pytest
 
-from edgeslice import harness
+from edgeslice import checkpoint, forecasting, harness
 from edgeslice.config import build_config
 from edgeslice.errors import DivergenceError
 from edgeslice.forecasting import (ForecastConfig, ForecastModel, TrafficSeries,
@@ -198,9 +199,17 @@ def grad_names(model):
     return [n for n in model.params if n not in ("norm_mean", "norm_std")]
 
 
+def single_precision(model):
+    """A float32 copy of ``model``, cast the way `fit` casts it."""
+    single = deepcopy(model)
+    single._cast(np.float32)
+    return single
+
+
 class TestStackedRegions:
     """A pass over stacked regions equals one 1-D pass per region, bit for
-    bit: outputs and every parameter gradient, the shared embedding too."""
+    bit: outputs and every parameter gradient, the shared embedding too,
+    for the float64 draws and for their float32 cast."""
 
     @pytest.mark.parametrize("horizon", [1, 3])
     @pytest.mark.parametrize("slots", list(range(1, 21)) + [63, 64, 65, 159])
@@ -211,20 +220,23 @@ class TestStackedRegions:
         model.params["norm_mean"] = np.asarray(counts.mean())
         model.params["norm_std"] = np.asarray(max(counts.std(), 1e-6))
         x_en, x_de = build_io(counts, horizon, model.config)
-        out, cache = model._forward_region(x_en, x_de, want_cache=True)
-        d_out = np.zeros_like(out)
-        d_out[:, -horizon:] = rng.normal(size=(3, horizon))
-        stacked = {n: np.zeros_like(model.params[n]) for n in grad_names(model)}
-        model._backward_region(cache, d_out, stacked)
+        upstream = rng.normal(size=(3, horizon))
+        for m in (model, single_precision(model)):
+            out, cache = m._forward_region(x_en, x_de, want_cache=True)
+            assert out.dtype == m.dtype
+            d_out = np.zeros_like(out)
+            d_out[:, -horizon:] = upstream
+            stacked = {n: np.zeros_like(m.params[n]) for n in grad_names(m)}
+            m._backward_region(cache, d_out, stacked)
 
-        single = {n: np.zeros_like(model.params[n]) for n in grad_names(model)}
-        for r in range(3):
-            out_r, cache_r = model._forward_region(x_en[r], x_de[r], want_cache=True)
-            assert out_r.shape == (x_de.shape[1],)
-            assert out_r.tobytes() == out[r].tobytes()
-            model._backward_region(cache_r, d_out[r], single)
-        for name in single:
-            assert stacked[name].tobytes() == single[name].tobytes(), name
+            single = {n: np.zeros_like(m.params[n]) for n in grad_names(m)}
+            for r in range(3):
+                out_r, cache_r = m._forward_region(x_en[r], x_de[r], want_cache=True)
+                assert out_r.shape == (x_de.shape[1],)
+                assert out_r.tobytes() == out[r].tobytes()
+                m._backward_region(cache_r, d_out[r], single)
+            for name in single:
+                assert stacked[name].tobytes() == single[name].tobytes(), (m.dtype, name)
 
     def test_one_pass_per_window(self, monkeypatch):
         counts = {"forward": 0, "backward": 0}
@@ -249,7 +261,7 @@ class TestStackedRegions:
 class TestFit:
     def test_golden_training_bits(self):
         # sha256 over the loss trace, parameters and Adam moments of a small
-        # training run, pinned when every region took its own pass.  Like
+        # training run, pinned when training moved to float32.  Like
         # sliceoff's outputs, the last bits depend on the BLAS kernel.
         cfg = build_config({"regions": 3, "forecaster": {
             "width": 8, "encoder_layers": 2, "head_hidden": 8,
@@ -264,7 +276,7 @@ class TestFit:
                           + model.adam.v[name].tobytes())
         digest.update(repr(model.adam.step).encode())
         assert digest.hexdigest() == \
-            "6ff5163a7e933b832fa7cccb7515d439cd7923b6ea6ebb3894a40a5fbe43ba12"
+            "c4a9281d9faedd68efd10c42d44a78a958bf44bbcdc71541ca13b5272f71e7d1"
 
     def test_zero_epochs_leaves_parameters_bit_identical(self):
         model = small_model(seed=7)
@@ -327,6 +339,119 @@ class TestFit:
         series = TrafficSeries(np.random.default_rng(0).uniform(0, 9, (2, 16)))
         with pytest.raises(DivergenceError):
             fit(model, series, epochs=1, lr=1e-3, rng=np.random.default_rng(0))
+
+
+def floating_arrays(obj):
+    """Every floating ndarray inside nested tuples, lists and dicts."""
+    if isinstance(obj, np.ndarray):
+        return [obj] if np.issubdtype(obj.dtype, np.floating) else []
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (tuple, list)):
+        return [a for item in obj for a in floating_arrays(item)]
+    return []
+
+
+def window_pass(model, counts, t):
+    """One fit window's forward output and parameter gradients."""
+    x_en, x_de = build_io(counts[:, :t], 1, model.config)
+    out, cache = model._forward_region(x_en, x_de, want_cache=True)
+    d_out = np.zeros_like(out)
+    d_out[:, -1:] = out[:, -1:] - model._normalize(counts[:, t:t + 1])
+    grads = {n: np.zeros_like(model.params[n]) for n in grad_names(model)}
+    model._backward_region(cache, d_out, grads)
+    return out, grads
+
+
+class TestSinglePrecision:
+    """`fit` trains in float32 and a loaded model computes in float32; the
+    statistics stay float64 and no pass is upcast by a float64 temporary."""
+
+    def series(self, seed=0, slots=24):
+        return TrafficSeries(np.random.default_rng(seed).uniform(0, 9, (3, slots)))
+
+    def test_fresh_model_holds_float64_draws(self):
+        model = small_model(seed=2)
+        assert model.dtype == np.float64
+        assert all(a.dtype == np.float64 for a in model.params.values())
+        fit(model, self.series(), epochs=0, lr=1e-3)
+        assert model.dtype == np.float64
+
+    def test_fit_leaves_float32_parameters_and_moments(self):
+        model = small_model(seed=3)
+        fit(model, self.series(), epochs=1, lr=1e-3, rng=np.random.default_rng(0))
+        for name, arr in model.params.items():
+            expected = np.float64 if name in ("norm_mean", "norm_std") else np.float32
+            assert arr.dtype == expected, name
+        assert model.adam._m.dtype == model.adam._v.dtype == np.float32
+        assert all(model.adam.m[n].dtype == model.adam.v[n].dtype == np.float32
+                   for n in grad_names(model))
+
+    def test_window_pass_stays_float32(self, monkeypatch):
+        model = small_model(seed=4)
+        counts = self.series(seed=1).counts
+        fit(model, TrafficSeries(counts), epochs=1, lr=1e-3, rng=np.random.default_rng(0))
+        seen = []
+
+        def guarded(fn, check_args=True):
+            def wrapped(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                checked = (args, kwargs, result) if check_args else result
+                seen.extend((fn.__name__, a.dtype) for a in floating_arrays(checked))
+                return result
+            return wrapped
+        for name in ("_probsparse_forward", "_probsparse_backward", "_masked_forward",
+                     "_masked_backward", "_conv1d_forward", "_conv1d_backward",
+                     "_maxpool_forward", "_maxpool_backward", "_ELU", "_DELU",
+                     "_accumulate", "_positional_encoding"):
+            monkeypatch.setattr(forecasting, name, guarded(getattr(forecasting, name)))
+        for name in ("_normalize", "_embed_grads"):
+            # Their inputs are float64 counts; their results must not be.
+            monkeypatch.setattr(model, name, guarded(getattr(model, name), False))
+        out, grads = window_pass(model, counts, 20)
+        assert out.dtype == np.float32
+        assert all(g.dtype == np.float32 for g in grads.values())
+        assert {name for name, _ in seen} >= {"_conv1d_backward", "_maxpool_backward",
+                                              "_accumulate", "_embed_grads"}
+        assert [(n, d) for n, d in seen if d != np.float32] == []
+
+    def test_float32_gradients_match_float64(self):
+        # The same draws and window in both precisions: every parameter's
+        # analytic gradient agrees to a float32-sized relative tolerance.
+        tolerance = 100 * np.finfo(np.float32).eps
+        counts = self.series(seed=5).counts
+        for seed in range(5):
+            model = small_model(seed=seed)
+            model.params["norm_mean"] = np.asarray(counts.mean())
+            model.params["norm_std"] = np.asarray(counts.std())
+            out64, grads64 = window_pass(model, counts, 16 + seed)
+            out32, grads32 = window_pass(single_precision(model), counts, 16 + seed)
+            assert np.allclose(out32, out64, rtol=0, atol=tolerance * np.abs(out64).max())
+            for name, g in grads64.items():
+                error = np.linalg.norm(grads32[name] - g) / np.linalg.norm(g)
+                assert error <= tolerance, (seed, name, error)
+
+    def test_float64_checkpoint_loads_as_float32(self, tmp_path):
+        # A checkpoint written before training moved to float32 stores every
+        # array as float64.
+        model = small_model(seed=6)
+        series = self.series(seed=2)
+        model.params["norm_mean"] = np.asarray(series.counts.mean())
+        model.params["norm_std"] = np.asarray(series.counts.std())
+        path = tmp_path / "legacy.ckpt"
+        checkpoint.save_arrays(path, model.params, {"format": ForecastModel.FORMAT,
+                                                    **vars(model.config)})
+        loaded = ForecastModel.load(path)
+        for name, arr in loaded.params.items():
+            if name in ("norm_mean", "norm_std"):
+                assert arr.dtype == np.float64
+                assert arr.tobytes() == model.params[name].tobytes(), name
+            else:
+                assert arr.dtype == np.float32
+                assert arr.tobytes() == model.params[name].astype(np.float32).tobytes(), name
+        out = forecast(loaded, series, 2)
+        assert out.dtype == np.float64
+        assert out.tobytes() == forecast(single_precision(model), series, 2).tobytes()
 
 
 class TestBaselineForecast:
