@@ -4,7 +4,9 @@ The observation carries what the settlement reward depends on: each task's
 priority, its execution share of the deadline at the region's own VM rate,
 and, under one fixed placement (least-loaded VM in list order, starting
 from the region's per-VM backlog), its VM, the queue ahead of it and the
-minimal bandwidth share that meets its deadline behind that queue.  The
+minimal bandwidth share that meets its deadline behind that queue.  It is
+four region scalars followed by an ``(n_max, 8)`` slot table, one row per
+task slot (`slot_table`); the first ``user count`` slots are occupied.  The
 action is one bandwidth fraction per task slot; `decode_action` reads the
 VMs from the observation the action was taken at.  The actor and critic
 nets run on occupied task slots only: a padded slot gets no row, a zero
@@ -26,7 +28,6 @@ twin-critic value over one's own.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -42,34 +43,33 @@ from .nn import Network, soft_update
 # State / action codecs
 # ---------------------------------------------------------------------------
 
-# Per-task observation blocks, each n_max wide and zero on padded slots, in
-# their order after the three region scalars; the upload power sits between
-# the compute block and the mask.
-_BLOCKS = ("rate", "compute", "mask", "exe", "priority", "selector", "queue",
-           "need", "cumulative")
+_SLOT_COLS = 8     # columns of the observation's slot table
 _SHARE_CAP = 2.0   # shares of the deadline or of the bandwidth are clipped here
 
 
-def _block(n_max: int, name: str) -> slice:
-    """Columns of one per-task block in a flat observation."""
-    b = _BLOCKS.index(name)
-    start = 3 + b * n_max + (b >= 2)
-    return slice(start, start + n_max)
-
-
 def state_dim(n_max: int) -> int:
-    """Observation length: bandwidth, VM count, user count and upload power,
-    plus the nine per-task blocks of `_BLOCKS`, each ``n_max`` wide."""
-    return 4 + len(_BLOCKS) * n_max
+    """Observation length: four region scalars, then the ``(n_max, 8)``
+    slot table of `slot_table`."""
+    return 4 + _SLOT_COLS * n_max
+
+
+def slot_table(obs: np.ndarray, n_max: int) -> np.ndarray:
+    """The ``(..., n_max, 8)`` slot table of an observation or a batch of
+    them, as a view.  Row j describes task slot j and is zero when padded;
+    its columns are rate, compute, need, selector, priority, exe, queue and
+    cumulative (see `encode_state`)."""
+    obs = np.asarray(obs)
+    return obs[..., 4:].reshape(*obs.shape[:-1], n_max, _SLOT_COLS)
 
 
 def encode_state(region: RegionState, radio: RadioParams, econ: EconParams,
                  n_max: int) -> np.ndarray:
-    """Flat observation of one region and slot, zero-padded to ``n_max``.
+    """Flat observation of one region and slot: the region scalars (rented
+    bandwidth, VM count, user count, upload power), then the slot table,
+    one row per task, zero rows padding it to ``n_max``.
 
-    Region scalars: rented bandwidth, VM count, user count, upload power.
-    Per task: uplink-rate and compute demand, validity mask, execution
-    share of the deadline at the region's own VM rate, and priority.
+    Per task: uplink-rate and compute demand, priority, and the execution
+    share of the deadline at the region's own VM rate.
 
     It also fixes the VM placement: in list order, each task goes to the
     least-loaded VM (lowest index on ties), starting from the region's
@@ -87,7 +87,7 @@ def encode_state(region: RegionState, radio: RadioParams, econ: EconParams,
     deadline, frequency, bandwidth = econ.deadline, region.frequency, region.bandwidth
     cycles_per_deadline = frequency * deadline
     pending = list(region.pending)
-    columns = []  # per task: the blocks before "cumulative", in _BLOCKS order
+    rows = []  # per task: its slot-table columns before "cumulative"
     for task in region.tasks:
         selector = queue = 0.0
         need = _SHARE_CAP
@@ -99,21 +99,21 @@ def encode_state(region: RegionState, radio: RadioParams, econ: EconParams,
             if bw <= bandwidth:
                 need = bw / bandwidth
                 pending[vm] += task.work
-        columns.append((task.data_size / (deadline * task.spectral_efficiency(radio)),
-                        task.work / deadline, 1.0, task.work / cycles_per_deadline,
-                        task.priority, selector, queue, need))
-    blocks = np.zeros((len(_BLOCKS), n_max))
-    blocks[:-1, :n] = np.array(columns).T
-    cumulative = blocks[-1]
+        rows.append((task.data_size / (deadline * task.spectral_efficiency(radio)),
+                     task.work / deadline, need, selector, task.priority,
+                     task.work / cycles_per_deadline, queue))
+    obs = np.zeros(state_dim(n_max))
+    obs[:4] = bandwidth, region.vm_count, n, radio.upload_power
+    table = slot_table(obs, n_max)
+    if rows:
+        table[:n, :-1] = rows
     served = 0.0
-    for j in sorted(range(n), key=lambda j: (-columns[j][4], columns[j][7])):
-        need = columns[j][7]
-        cumulative[j] = served + need
+    for j in sorted(range(n), key=lambda j: (-rows[j][4], rows[j][2])):
+        need = rows[j][2]
+        table[j, -1] = served + need
         if need <= 1.0:
             served += need
-    return np.concatenate([
-        [bandwidth, float(region.vm_count), float(n)],
-        blocks[0], blocks[1], [radio.upload_power], blocks[2:].ravel()])
+    return obs
 
 
 def decode_action(raw: np.ndarray, obs: np.ndarray) -> AllocationAction:
@@ -128,26 +128,21 @@ def decode_action(raw: np.ndarray, obs: np.ndarray) -> AllocationAction:
         raise ValueError(f"observation of length {obs.size} does not fit "
                          f"{n_max} fractions (expected {state_dim(n_max)})")
     vm_count, n_users = int(obs[1]), int(obs[2])
-    selectors = obs[_block(n_max, "selector")][:n_users]
+    selectors = slot_table(obs, n_max)[:n_users, 3]
     vm = np.minimum((selectors * vm_count).astype(int), vm_count - 1)
     return AllocationAction(bw_fraction=raw[:n_users], vm_index=vm)
 
 
 def feature_scale(n_max: int, bw_ref: float, rate_ref: float,
                   compute_ref: float, power_ref: float) -> np.ndarray:
-    """Per-feature divisors that bring observations to unit scale.
+    """Divisors that bring observations to unit scale: one per region
+    scalar, then one per slot-table column.
 
     bw_ref sizes the rented-bandwidth feature, rate_ref the per-user uplink
     demands, compute_ref the per-user cycle demands; shares, priorities and
     selectors are left as they are."""
-    scale = np.ones(state_dim(n_max))
-    scale[0] = bw_ref
-    scale[1] = 2.0
-    scale[2] = n_max
-    scale[_block(n_max, "rate")] = rate_ref
-    scale[_block(n_max, "compute")] = compute_ref
-    scale[3 + 2 * n_max] = power_ref
-    return scale
+    return np.array([bw_ref, 2.0, n_max, power_ref,
+                     rate_ref, compute_ref, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -219,31 +214,9 @@ class AgentHyperparams:
 
 _STATE_COLS = 16   # per-slot state features fed to both blocks
 _MARGIN_CAP = 6.0  # allocated-over-needed ratio is clipped here
-# Feature columns divided by the state scale: the four region scalars and
-# the slot's rate and compute demand.
-_SCALED = np.arange(_STATE_COLS) < 6
-# Per feature column, the cap on the value copied from the observation:
-# the execution share, the queue ahead and the share admitted before.
-_ROW_CAPS = np.full(_STATE_COLS, np.inf)
-_ROW_CAPS[13:16] = (_SHARE_CAP, _SHARE_CAP, 4.0)
-
-
-@functools.cache
-def _layout(n_max: int) -> tuple:
-    """A flat observation's columns, resolved once per ``n_max``: every
-    `_BLOCKS` block's slice, and an (n_max, _STATE_COLS) table of the
-    observation column each feature of a slot's row copies.  Features 7 and
-    9-11 are computed per batch; the table points them at column 0.
-    Callers must not write to either."""
-    slices = {name: _block(n_max, name) for name in _BLOCKS}
-    own = {name: s.start + np.arange(n_max)[:, None] for name, s in slices.items()}
-    region = [np.full((n_max, 1), col) for col in (0, 1, 2, 3 + 2 * n_max)]
-    computed = np.zeros((n_max, 1), int)
-    sources = np.hstack([*region, own["rate"], own["compute"], own["mask"],
-                         computed, own["need"], computed, computed, computed,
-                         own["priority"], own["exe"], own["queue"],
-                         own["cumulative"]])
-    return slices, sources
+# Caps on the copied priority, execution share, queue ahead and share
+# admitted before (features 12-15).
+_TAIL_CAPS = np.array([np.inf, _SHARE_CAP, _SHARE_CAP, 4.0])
 
 
 @dataclass(eq=False)
@@ -291,30 +264,36 @@ class _TaskBlock:
     def _state_rows(self, states: np.ndarray) -> _Features:
         """Featurise raw observations into rows shared by actor and critic.
 
-        The features are computed in float64 from the occupied slots'
-        entries and the per-sample sums, then stored in the net's dtype."""
+        Per occupied slot: the region scalars and the slot's rate and
+        compute demand, each divided by its divisor in the state scale
+        (features 0-5; the other columns' divisors are 1 and not read); 1.0
+        (6); the slot position (7); its need (8); the sample's total need
+        (9) and compute demand per VM (10); the slot's cheapness rank (11);
+        its priority, execution share, queue ahead and cumulative share
+        (12-15).  They are computed in float64, then stored in the net's
+        dtype."""
         states = np.atleast_2d(np.asarray(states, dtype=float))
         k, n, scale = states.shape[0], self.n_max, self.state_scale
-        blocks, sources = _layout(n)
-        mask = states[:, blocks["mask"]]
-        need_grid = states[:, blocks["need"]]
-        compute_grid = states[:, blocks["compute"]] / scale[blocks["compute"]]
-        valid = np.flatnonzero(mask)
+        table = slot_table(states, n)
+        need_grid = table[:, :, 2]
+        occupied = np.arange(n) < states[:, 2:3]
+        valid = np.flatnonzero(occupied)
         sample, slot = np.divmod(valid, n)
-        # Copied features: region scalars, then the slot's own entries
-        # (rate, compute, mask, need, priority, execution share, queue,
-        # cumulative share).  Dividing by 1.0 and capping at inf are exact.
-        divisor = np.where(_SCALED, scale[sources], 1.0)
-        rows = states.reshape(-1)[(sample * states.shape[1])[:, None] + sources[slot]]
-        rows /= divisor[slot]
-        np.minimum(rows, _ROW_CAPS, out=rows)
-        rows[:, 7] = slot / n                               # slot position
+        own = table[sample, slot]
+        rows = np.empty((valid.size, _STATE_COLS))
+        rows[:, :4] = states[sample, :4]
+        rows[:, 4:6] = own[:, :2]
+        rows[:, :6] /= scale[:6]
+        rows[:, 6] = 1.0
+        rows[:, 7] = slot / n
+        rows[:, 8] = own[:, 2]
         rows[:, 9] = np.minimum(need_grid.sum(axis=1), 4.0)[sample]
-        rows[:, 10] = (compute_grid.sum(axis=1)
+        rows[:, 10] = ((table[:, :, 1] / scale[5]).sum(axis=1)
                        / np.maximum(states[:, 1], 1.0))[sample]
-        rank = np.argsort(np.argsort(need_grid + (1 - mask) * 99.0, axis=1,
+        rank = np.argsort(np.argsort(np.where(occupied, need_grid, 99.0), axis=1,
                                      kind="stable"), axis=1, kind="stable")
         rows[:, 11] = rank.ravel()[valid] / n               # cheapness rank
+        np.minimum(own[:, 4:], _TAIL_CAPS, out=rows[:, 12:])
         return _Features(states, valid, rows.astype(self.net.dtype), rows[:, 8],
                          k, (n, scale, self.net.dtype))
 
@@ -474,6 +453,9 @@ def make_agent(n_max: int, state_scale: np.ndarray, frequency: float,
     float32."""
     rng = rng if rng is not None else np.random.default_rng(0)
     scale = np.asarray(state_scale, dtype=float)
+    if scale.shape != (4 + _SLOT_COLS,):
+        raise ValueError(f"state_scale must hold {4 + _SLOT_COLS} divisors "
+                         f"(see feature_scale), got shape {scale.shape}")
     actor_acts = ("relu",) * len(hidden) + ("sigmoid",)
     critic_acts = ("relu",) * len(hidden) + ("identity",)
 
@@ -676,7 +658,7 @@ def load_agent(path) -> AgentBundle:
             raise CheckpointError(f"{path}: metadata field 'n_max' must be an "
                                   f"integer >= 1, got {n_max!r}")
         frequency = meta["frequency"]
-        checkpoint.check_array(path, "state_scale", scale, (state_dim(n_max),))
+        checkpoint.check_array(path, "state_scale", scale, (4 + _SLOT_COLS,))
         scale = scale.astype(float)
         if not isinstance(meta["nets"], dict):
             raise CheckpointError(f"{path}: metadata field 'nets' must be an object")

@@ -164,13 +164,19 @@ def make_policy(tag: str, config: Config, rng: np.random.Generator,
     """Bind a policy tag to a callable RegionState -> AllocationAction.
 
     With a peer bundle, ``sliceoff`` follows the hybrid policy: per state,
-    the agent whose twin critics value its own action higher."""
+    the agent whose twin critics value its own action higher.  A policy that
+    cannot serve the config's ``n_max`` users per region (an agent padded to
+    fewer, or ``oracle`` above `baselines.ENUMERATION_BOUND`) is refused."""
     # Read at call time, not import time, so wrapped module attributes
     # (perfbench's tracer) take effect.
     packers = {"greedy": baselines.greedy_policy,
                "max_transaction": baselines.max_transaction_policy,
                "auction": baselines.auction_policy,
                "oracle": baselines.oracle_policy}
+    if tag == "oracle" and config.n_max > baselines.ENUMERATION_BOUND:
+        raise ConfigError(
+            f"policy 'oracle' enumerates at most {baselines.ENUMERATION_BOUND} "
+            f"tasks per region, field 'n_max' allows {config.n_max}")
     if tag in packers:
         return partial(packers[tag], radio=config.radio, econ=config.econ)
     if tag == "random":
@@ -182,6 +188,10 @@ def make_policy(tag: str, config: Config, rng: np.random.Generator,
             raise ConfigError(
                 f"peer agent pads to n_max={peer_bundle.n_max}, "
                 f"the agent to n_max={agent_bundle.n_max}")
+        if agent_bundle.n_max < config.n_max:
+            raise ConfigError(
+                f"agent pads to n_max={agent_bundle.n_max}, below the "
+                f"{config.n_max} users per region of field 'n_max'")
 
         def sliceoff_policy(region: RegionState):
             obs = agent_mod.encode_state(region, config.radio, config.econ,
@@ -445,17 +455,17 @@ def compare(config: Config, policies, seeds, out_dir, agent_bundle=None,
 # Training orchestration
 # ---------------------------------------------------------------------------
 
-def make_training_envs(config: Config, seed: int, episode_slots=None):
-    """Current/peer/eval environments over the configured scenario family.
+def make_training_envs(config: Config, seed: int):
+    """Current/peer/eval environments over the configured scenario family,
+    each episode one long slot's ``short_slots`` short slots.
 
     All four share one instance family; only their seeds differ."""
-    slots = episode_slots if episode_slots is not None else config.short_slots
     family = InstanceFamily.from_config(config)
     env_current = OffloadEnv(family, config.n_max, seed=seed * 4 + 1,
-                             episode_slots=slots,
+                             episode_slots=config.short_slots,
                              slot_duration=config.slot_duration)
     env_peer = OffloadEnv(family, config.n_max, seed=seed * 4 + 2,
-                          episode_slots=slots,
+                          episode_slots=config.short_slots,
                           slot_duration=config.slot_duration)
     eval_current = env_current.spawn(seed * 4 + 3)
     eval_peer = env_peer.spawn(seed * 4 + 4)
@@ -464,7 +474,15 @@ def make_training_envs(config: Config, seed: int, episode_slots=None):
 
 def train_forecaster(config: Config, seed: int, history_slots: int = 160):
     """Fit the traffic model on a long synthetic history; returns
-    (model, per-epoch loss trace)."""
+    (model, per-epoch loss trace).
+
+    Training cuts start at ``max(2, current_window)`` slots of history, so a
+    current window that leaves no cut in the history is refused."""
+    window = config.forecaster.current_window
+    if config.forecaster_epochs and max(2, window) >= history_slots:
+        raise ConfigError(
+            f"field 'forecaster.current_window' ({window}) leaves no training "
+            f"cut in the {history_slots}-slot training history")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xf0]))
     counts = traffic_counts(config.traffic, config.regions,
                             history_slots, rng, n_max=config.n_max)
@@ -477,9 +495,9 @@ def train_forecaster(config: Config, seed: int, history_slots: int = 160):
     return model, trace
 
 
-def train_agents(config: Config, seed: int, episode_slots=None):
+def train_agents(config: Config, seed: int):
     """Train the dual agents on the configured instance family."""
-    env_c, env_p, eval_c, eval_p = make_training_envs(config, seed, episode_slots)
+    env_c, env_p, eval_c, eval_p = make_training_envs(config, seed)
     scale = default_state_scale(config)
     return agent_mod.train(env_c, env_p, config.agent, config.n_max, scale,
                            seed=seed, eval_env_current=eval_c,
@@ -487,10 +505,11 @@ def train_agents(config: Config, seed: int, episode_slots=None):
 
 
 def train_all(config: Config, out_dir, seed: int | None = None) -> dict:
-    """Train forecaster and both agents; write checkpoints and curves."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Train forecaster and both agents; write checkpoints and curves.  A
+    config that `train_forecaster` refuses writes nothing."""
     seed = config.seed if seed is None else seed
     model, trace = train_forecaster(config, seed)
+    os.makedirs(out_dir, exist_ok=True)
     model.save(os.path.join(out_dir, "forecaster.ckpt"))
     _atomic_write(os.path.join(out_dir, "forecaster_loss.csv"),
                   _csv_text(("epoch", "loss"),

@@ -15,6 +15,8 @@ RADIO = RadioParams(upload_power=3e-6, noise_power=1e-9,
                     pathloss_ref=1e-3, pathloss_exp=2.0)  # snr=3 at 1 m
 ECON = EconParams(reward_per_task=10.0, deadline=1.0)
 N_MAX = 4
+# Columns of the observation's slot table (`A.slot_table`).
+RATE, COMPUTE, NEED, SELECTOR, PRIORITY, EXE, QUEUE, CUMULATIVE = range(8)
 
 
 def region_of(tasks, bandwidth=4e6, vm_count=2):
@@ -29,6 +31,12 @@ def random_region(n, rng):
                       for _ in range(n)],
                      bandwidth=rng.uniform(1e6, 6e6),
                      vm_count=int(rng.integers(1, 4)))
+
+
+def occupancy(states, n_max=N_MAX):
+    """1.0 on the occupied slots of an observation batch, 0.0 on padded
+    ones: the first ``user count`` slots of each sample are occupied."""
+    return (np.arange(n_max) < states[:, [2]]).astype(float)
 
 
 def make_states(k, rng, n_max=N_MAX):
@@ -89,21 +97,29 @@ class TestEncodeState:
     def test_zero_users_all_zero_demands_and_mask(self):
         s = A.encode_state(region_of([]), RADIO, ECON, N_MAX)
         assert s.shape == (A.state_dim(N_MAX),)
-        assert np.all(s[3:3 + N_MAX] == 0)          # rate demands
-        assert np.all(s[3 + N_MAX:3 + 2 * N_MAX] == 0)  # compute demands
-        assert np.all(s[4 + 2 * N_MAX:] == 0)       # mask
+        assert s[2] == 0                             # user count: no slot occupied
+        assert np.all(A.slot_table(s, N_MAX) == 0)   # demands and every other column
 
     def test_demand_formulas(self):
         task = TaskSpec(1e6, 100.0, 1.0, 1.0)
-        s = A.encode_state(region_of([task]), RADIO, ECON, N_MAX)
-        assert s[3 + N_MAX] == pytest.approx(1e8)   # d*eta / deadline
-        assert s[3] == pytest.approx(1e6 / (1.0 * 2.0))  # d / (T * log2(1+3))
+        table = A.slot_table(A.encode_state(region_of([task]), RADIO, ECON, N_MAX),
+                             N_MAX)
+        assert table[0, COMPUTE] == pytest.approx(1e8)   # d*eta / deadline
+        assert table[0, RATE] == pytest.approx(1e6 / (1.0 * 2.0))  # d / (T * log2(1+3))
 
     def test_dimension_independent_of_user_count(self):
         s1 = A.encode_state(region_of([TaskSpec(1e5, 10, 1, 1)]), RADIO, ECON, N_MAX)
         s4 = A.encode_state(region_of([TaskSpec(1e5, 10, 1, 1)] * N_MAX),
                             RADIO, ECON, N_MAX)
         assert s1.shape == s4.shape
+
+    def test_slot_table_views_each_observation(self):
+        states = make_states(3, np.random.default_rng(9))
+        table = A.slot_table(states, N_MAX)
+        assert table.shape == (3, N_MAX, 8) and np.shares_memory(table, states)
+        for i in range(3):
+            assert np.array_equal(table[i], A.slot_table(states[i], N_MAX))
+            assert np.array_equal(table[i].ravel(), states[i, 4:])
 
     def test_too_many_users_rejected(self):
         with pytest.raises(ValueError):
@@ -132,7 +148,7 @@ class TestDecodeAction:
         assert action.vm_index.tolist() == [1, 2, 1, 2]
         assert np.array_equal(A.decode_action(np.ones(N_MAX), obs).vm_index,
                               action.vm_index)
-        obs[A._block(N_MAX, "selector").start] = 1.0
+        A.slot_table(obs, N_MAX)[0, SELECTOR] = 1.0
         assert A.decode_action(np.zeros(N_MAX), obs).vm_index[0] == 2
 
     def test_overcommitment_rescaled(self):
@@ -800,16 +816,16 @@ class TestObservedService:
                                             RADIO, ECON) / region.bandwidth)
             pending[vm] += task.work
         assert action.vm_index.tolist() == expected == [1, 2, 0]
-        need = obs[A._block(N_MAX, "need")]
+        need = A.slot_table(obs, N_MAX)[:, NEED]
         assert np.allclose(need[:3], shares) and need[3] == 0.0
 
     def test_priority_and_cumulative_share(self):
-        obs = A.encode_state(self.region(), RADIO, ECON, N_MAX)
-        need = obs[A._block(N_MAX, "need")]
-        assert obs[A._block(N_MAX, "priority")].tolist() == [1.0, 3.0, 2.0, 0.0]
+        table = A.slot_table(A.encode_state(self.region(), RADIO, ECON, N_MAX), N_MAX)
+        need = table[:, NEED]
+        assert table[:, PRIORITY].tolist() == [1.0, 3.0, 2.0, 0.0]
         # Preference: priority 3 (task 1), then 2 (task 2), then 1 (task 0).
         expected = [need[1] + need[2] + need[0], need[1], need[1] + need[2], 0.0]
-        assert np.allclose(obs[A._block(N_MAX, "cumulative")], expected)
+        assert np.allclose(table[:, CUMULATIVE], expected)
 
     def test_old_observation_checkpoint_refused(self, tmp_path):
         from edgeslice import checkpoint
@@ -817,10 +833,20 @@ class TestObservedService:
         path = tmp_path / "agent.ckpt"
         A.save_agent(default_agent(), path)
         arrays, meta = checkpoint.load_arrays(path)
-        arrays["state_scale"] = np.ones(4 + 3 * N_MAX)
-        checkpoint.save_arrays(path, arrays, meta)
-        with pytest.raises(CheckpointError, match="state_scale"):
-            A.load_agent(path)
+        # One divisor per observation entry: before the observation gained
+        # priority, VM rate and backlog, and before the slot table.
+        for length in (4 + 3 * N_MAX, 4 + 9 * N_MAX):
+            arrays["state_scale"] = np.ones(length)
+            checkpoint.save_arrays(path, arrays, meta)
+            with pytest.raises(CheckpointError, match="state_scale"):
+                A.load_agent(path)
+
+
+    def test_scale_of_another_length_refused(self):
+        # A scale with one divisor per observation entry would train, but
+        # its checkpoint would not load.
+        with pytest.raises(ValueError, match="state_scale"):
+            A.make_agent(N_MAX, np.ones(A.state_dim(N_MAX)), frequency=1e9)
 
 
 class TestOccupiedSlots:
@@ -835,11 +861,11 @@ class TestOccupiedSlots:
         """(mask, need, padded state rows) of a batch: occupied rows are the
         block's features, padded rows noise."""
         feats = block._state_rows(states)
-        mask = states[:, A._block(N_MAX, "mask")]
+        mask = occupancy(states)
         assert np.array_equal(feats.valid, np.flatnonzero(mask))
         rows = rng.normal(size=(mask.size, A._STATE_COLS))
         rows[mask.ravel() > 0] = feats.rows
-        return mask, states[:, A._block(N_MAX, "need")], rows
+        return mask, A.slot_table(states, N_MAX)[:, :, NEED], rows
 
     @pytest.mark.parametrize("counts", BATCHES.values(), ids=BATCHES.keys())
     def test_actor_matches_padded_reference(self, counts):
@@ -917,7 +943,7 @@ class TestOccupiedSlots:
         peer = float64_copy(default_agent(np.random.default_rng(75)))
         states = states_with_counts([2, 0, N_MAX, 1, 3, 1], rng)
         feats = current.actor._state_rows(states)
-        sample = np.flatnonzero(states[:, A._block(N_MAX, "mask")]) // N_MAX
+        sample = np.flatnonzero(occupancy(states)) // N_MAX
         k = len(states)
         ours, cache = current.actor.net.forward(feats.rows, return_cache=True)
         theirs = peer.actor.net.forward(feats.rows)
@@ -947,21 +973,15 @@ class TestOccupiedSlots:
 def padded_state_rows(states, n_max, state_scale):
     """The featurisation of every (sample, slot) pair, padded slots included,
     in float64; its occupied rows are the reference for `_state_rows`."""
-    scaled = states / state_scale
     k, n = states.shape[0], n_max
-
-    def block(name, source=states):
-        return source[:, A._block(n, name)]
-
-    mask = block("mask")
-    need = block("need")
+    table = A.slot_table(states, n)
+    scaled = table / state_scale[4:]
+    mask = occupancy(states, n)
+    need = table[:, :, NEED]
     rows = np.empty((k, n, A._STATE_COLS))
-    rows[:, :, 0] = scaled[:, [0]]
-    rows[:, :, 1] = scaled[:, [1]]
-    rows[:, :, 2] = scaled[:, [2]]
-    rows[:, :, 3] = scaled[:, [3 + 2 * n]]
-    rows[:, :, 4] = block("rate", scaled)
-    compute = block("compute", scaled)
+    rows[:, :, 0:4] = (states[:, :4] / state_scale[:4])[:, None, :]
+    rows[:, :, 4] = scaled[:, :, RATE]
+    compute = scaled[:, :, COMPUTE]
     rows[:, :, 5] = compute
     rows[:, :, 6] = mask
     rows[:, :, 7] = np.arange(n) / n
@@ -972,10 +992,10 @@ def padded_state_rows(states, n_max, state_scale):
     rank = np.argsort(np.argsort(need + (1 - mask) * 99.0, axis=1,
                                  kind="stable"), axis=1, kind="stable")
     rows[:, :, 11] = rank / n
-    rows[:, :, 12] = block("priority")
-    rows[:, :, 13] = np.minimum(block("exe"), A._SHARE_CAP)
-    rows[:, :, 14] = np.minimum(block("queue"), A._SHARE_CAP)
-    rows[:, :, 15] = np.minimum(block("cumulative"), 4.0)
+    rows[:, :, 12] = table[:, :, PRIORITY]
+    rows[:, :, 13] = np.minimum(table[:, :, EXE], A._SHARE_CAP)
+    rows[:, :, 14] = np.minimum(table[:, :, QUEUE], A._SHARE_CAP)
+    rows[:, :, 15] = np.minimum(table[:, :, CUMULATIVE], 4.0)
     return rows.reshape(k * n, A._STATE_COLS)
 
 
@@ -1004,13 +1024,13 @@ class TestSinglePrecision:
         states = np.array([A.encode_state(random_region(c, rng), RADIO, ECON, n_max)
                            for c in counts])
         feats = agent.actor._state_rows(states)
-        valid = np.flatnonzero(states[:, A._block(n_max, "mask")])
+        valid = np.flatnonzero(occupancy(states, n_max))
         assert feats.rows.dtype == dtype
         assert np.array_equal(feats.valid, valid)
         assert np.array_equal(
             feats.rows, padded_state_rows(states, n_max, scale)[valid].astype(dtype))
         assert np.array_equal(feats.need,
-                              states[:, A._block(n_max, "need")].ravel()[valid])
+                              A.slot_table(states, n_max)[:, :, NEED].ravel()[valid])
 
     def test_holder_of_another_dtype_is_refeaturised(self):
         agent = default_agent(np.random.default_rng(81))

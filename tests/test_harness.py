@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from edgeslice import agent, checkpoint, harness, scenario, slicing
+from edgeslice import agent, baselines, checkpoint, harness, scenario, slicing
 from edgeslice.baselines import minimal_bandwidth
 from edgeslice.cli import main as cli_main
 from edgeslice.config import DEFAULT_CONFIG, build_config, load_config
@@ -543,8 +543,8 @@ class TestCheckpointErrors:
         self.load_text(tmp_path, "\n".join(lines) + "\n")
 
     def test_agent_checkpoint_cut_after_header(self, tmp_path):
-        bundle = agent.make_agent(4, np.ones(agent.state_dim(4)), 2e9, hidden=(4,),
-                                  rng=np.random.default_rng(0))
+        bundle = agent.make_agent(4, agent.feature_scale(4, 1.0, 1.0, 1.0, 1.0), 2e9,
+                                  hidden=(4,), rng=np.random.default_rng(0))
         path = tmp_path / "agent.ckpt"
         agent.save_agent(bundle, path)
         lines = path.read_text().splitlines()
@@ -959,6 +959,46 @@ class TestCli:
                                                "--out", str(out)])
         assert result.exit_code == 2, result.output
         assert f"error: field '{section}.{name}'" in result.output
+        assert not out.exists()
+
+    def test_current_window_beyond_training_history_exit_code_2(self, tmp_path):
+        # train_all fits on 160 slots, cutting from current_window on.
+        doc = small_doc()
+        doc["forecaster"] = dict(doc["forecaster"], current_window=160)
+        result = CliRunner().invoke(cli_main, [
+            "train", "--config", write_config(tmp_path, doc),
+            "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "error: field 'forecaster.current_window'" in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_agent_padded_below_config_n_max_exit_code_2(self, tmp_path, command):
+        cfg = build_config(small_doc())
+        bundle = agent.make_agent(cfg.n_max - 2, harness.default_state_scale(cfg),
+                                  cfg.vm_frequency, hidden=(4,),
+                                  rng=np.random.default_rng(0))
+        path = tmp_path / "agent.ckpt"
+        agent.save_agent(bundle, path)
+        grid = (["--policy", "sliceoff"] if command == "run"
+                else ["--policies", "greedy,sliceoff", "--seeds", "0"])
+        out = tmp_path / "out"
+        result = CliRunner().invoke(cli_main, [
+            command, "--config", write_config(tmp_path, small_doc()), *grid,
+            "--out", str(out), "--agent-checkpoint", str(path)])
+        assert result.exit_code == 2, result.output
+        assert "error:" in result.output and "n_max=4" in result.output
+        assert not out.exists()
+
+    def test_oracle_policy_above_enumeration_bound_exit_code_2(self, tmp_path):
+        n_max = baselines.ENUMERATION_BOUND + 2
+        out = tmp_path / "out"
+        result = CliRunner().invoke(cli_main, [
+            "run", "--config", write_config(tmp_path, small_doc(n_max=n_max)),
+            "--policy", "oracle", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "error: policy 'oracle'" in result.output
+        assert str(n_max) in result.output
         assert not out.exists()
 
     @pytest.mark.parametrize("section,value,field", [
