@@ -297,6 +297,27 @@ def _positional_encoding(length: int, width: int, dtype=np.float64) -> np.ndarra
     return table[:length]
 
 
+def _layout(config: ForecastConfig):
+    """Each trainable parameter's (name, shape, fan-in), in the order
+    `ForecastModel` draws them."""
+    d = config.width
+    yield "embed_w", (d,), 1
+    yield "embed_b", (d,), 1
+    for i in range(config.encoder_layers):
+        for proj in ("wq", "wk", "wv"):
+            yield f"enc{i}_{proj}", (d, d), d
+        if i < config.encoder_layers - 1:
+            yield f"dist{i}_kernel", (3, d, d), 3 * d
+            yield f"dist{i}_bias", (d,), 3 * d
+    for proj in ("wq", "wk", "wv"):
+        yield f"dec_self_{proj}", (d, d), d
+        yield f"dec_cross_{proj}", (d, d), d
+    yield "head_w0", (d, config.head_hidden), d
+    yield "head_b0", (config.head_hidden,), d
+    yield "head_w1", (config.head_hidden, 1), config.head_hidden
+    yield "head_b1", (1,), config.head_hidden
+
+
 _DTYPE = np.float32  # the dtype `fit` trains in and a checkpoint loads as
 _STATS = ("norm_mean", "norm_std")  # float64 normalisation statistics, not trained
 
@@ -312,29 +333,11 @@ class ForecastModel:
 
     def __init__(self, config: ForecastConfig, rng: np.random.Generator):
         self.config = config
-        d = config.width
         self.params: dict = {}
         self.adam = AdamState()
-
-        def init(name, shape, fan_in):
+        for name, shape, fan_in in _layout(config):
             bound = 1.0 / math.sqrt(fan_in)
             self.params[name] = rng.uniform(-bound, bound, size=shape)
-
-        init("embed_w", (d,), 1)
-        init("embed_b", (d,), 1)
-        for i in range(config.encoder_layers):
-            for proj in ("wq", "wk", "wv"):
-                init(f"enc{i}_{proj}", (d, d), d)
-            if i < config.encoder_layers - 1:
-                init(f"dist{i}_kernel", (3, d, d), 3 * d)
-                init(f"dist{i}_bias", (d,), 3 * d)
-        for proj in ("wq", "wk", "wv"):
-            init(f"dec_self_{proj}", (d, d), d)
-            init(f"dec_cross_{proj}", (d, d), d)
-        init("head_w0", (d, config.head_hidden), d)
-        init("head_b0", (config.head_hidden,), d)
-        init("head_w1", (config.head_hidden, 1), config.head_hidden)
-        init("head_b1", (1,), config.head_hidden)
         # Normalization stats, learned from the training series.
         self.params["norm_mean"] = np.zeros(())
         self.params["norm_std"] = np.ones(())
@@ -347,6 +350,9 @@ class ForecastModel:
 
     @classmethod
     def load(cls, path) -> "ForecastModel":
+        """Read a checkpoint, checking every stored array against the shape
+        its header's configuration builds before any parameter is made, so
+        a header naming a huge width costs no memory."""
         arrays, meta = checkpoint.load_arrays(path)
         if meta.get("format") != cls.FORMAT:
             raise CheckpointError(f"{path}: not a forecaster checkpoint")
@@ -357,18 +363,21 @@ class ForecastModel:
             raise CheckpointError(f"{path}: forecaster checkpoint lacks {exc}") from exc
         except ValueError as exc:
             raise CheckpointError(f"{path}: {exc}") from exc
-        model = cls(config, np.random.default_rng(0))
-        missing = sorted(set(model.params) - set(arrays))
+        shapes = {name: shape for name, shape, _ in _layout(config)}
+        shapes.update(dict.fromkeys(_STATS, ()))
+        missing = sorted(set(shapes) - set(arrays))
         if missing:
             raise CheckpointError(f"{path}: forecaster checkpoint lacks {missing}")
-        for name, built in model.params.items():
-            checkpoint.check_array(path, name, arrays[name], built.shape)
+        for name, shape in shapes.items():
+            checkpoint.check_array(path, name, arrays[name], shape)
+        model = cls.__new__(cls)
+        model.config, model.adam = config, AdamState()
         # Trainable arrays load as float32 (older checkpoints store float64);
         # the statistics stay float64, so inputs are normalised with
         # unrounded values.
         model.params = {name: arrays[name].astype(float if name in _STATS else _DTYPE,
                                                   copy=False)
-                        for name in model.params}
+                        for name in shapes}
         return model
 
     @property

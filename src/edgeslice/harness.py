@@ -208,7 +208,7 @@ def make_policy(tag: str, config: Config, rng: np.random.Generator,
 def default_state_scale(config: Config) -> np.ndarray:
     """Observation normalizers sized to the mean-task demand magnitudes."""
     profile = task_profile(config)
-    efficiency = profile.spectral_efficiency(config.radio)
+    efficiency = config.radio.spectral_efficiency(profile.mean_distance)
     rate_ref = profile.mean_data_size / (config.econ.deadline * efficiency)
     compute_ref = (profile.mean_data_size * profile.mean_compute_density
                    / config.econ.deadline)

@@ -22,8 +22,12 @@ _ACTIVATIONS = {
     "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
     "sigmoid": (lambda z: 1.0 / (1.0 + np.exp(-z)),
                 lambda z: (s := 1.0 / (1.0 + np.exp(-z))) * (1.0 - s)),
-    "elu": (lambda z: np.where(z > 0.0, z, np.expm1(z)),
-            lambda z: np.where(z > 0.0, 1.0, np.exp(z))),
+    # The exponentials read min(z, 0), so they cannot overflow where ELU is
+    # the identity; the bits are those of the textbook form for every input
+    # (z >= 0 and NaN pass through as expm1 returns them, ELU(-0.0) stays
+    # -0.0, and exp(0) is the slope 1).
+    "elu": (lambda z: np.where(z < 0.0, np.expm1(np.minimum(z, 0.0)), z),
+            lambda z: np.exp(np.minimum(z, 0.0))),
 }
 
 

@@ -149,7 +149,10 @@ class OffloadEnv:
 
     Each episode samples an instance (rented resources plus a first task
     batch) and runs ``episode_slots`` short slots; fresh arrivals are drawn
-    each slot from the instance family so queues carry realistic backlog.
+    each slot from the instance family.  Queues carry backlog from slot to
+    slot only when the family's deadline exceeds ``slot_duration``: with
+    ``deadline <= slot_duration``, as shipped, every served task finishes
+    within its slot and each slot starts with empty queues.
     Observations are encoded state vectors; actions are raw unit-box
     vectors.
     """

@@ -9,48 +9,35 @@ choice weights form a simplex and the chosen capacity must cover demand), so
 an optimal vertex mixes at most two options and enumeration over option
 pairs replaces a general LP solver.
 
-A mix is admitted only beside the cheapest option that covers demand, and
-a draw that under-provisions is repaired to that option, so every rounded
-decision rents a cheapest cover: the cost ``brute_force_slicing`` finds.
+One rule, ``_cheapest_cover``, picks the lowest-cost option that covers a
+demand.  It gives the relaxation's one-hot vertex and infeasibility check,
+the cost an admitted mix's covering option must match, and the repair of a
+draw that under-provisions, so each rounded decision is the cheapest cover
+of the estimated demand: the cost ``brute_force_slicing`` finds.  At zero
+demand it gives ``cheapest_slice``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .env import EconParams, RadioParams, ResourceCatalog, SliceDecision
+from .env import EconParams, RadioParams, RegionCatalog, ResourceCatalog, SliceDecision
 from .errors import InfeasibleSliceError
 from .forecasting import TrafficSeries
 
-
 @dataclass(frozen=True)
 class TaskProfile:
-    """Mean task attributes used to size demand per predicted user.
-
-    The uplink spectral efficiency at the mean distance is evaluated on
-    first use and reused for the same `RadioParams` object, as
-    `TaskSpec.spectral_efficiency` does per task."""
+    """Mean task attributes used to size demand per predicted user."""
 
     mean_data_size: float       # bits
     mean_compute_density: float  # cycles/bit
     mean_distance: float        # meters
-    _efficiency: tuple = field(default=(None, 0.0), init=False, compare=False,
-                               repr=False)  # (radio, bits/s/Hz)
 
     def __post_init__(self):
         if min(self.mean_data_size, self.mean_compute_density, self.mean_distance) <= 0:
             raise ValueError("task profile statistics must be positive")
-
-    def spectral_efficiency(self, radio: RadioParams) -> float:
-        """``radio.spectral_efficiency(self.mean_distance)``, evaluated once
-        per profile and radio object."""
-        cached_radio, value = self._efficiency
-        if cached_radio is not radio:
-            value = radio.spectral_efficiency(self.mean_distance)
-            object.__setattr__(self, "_efficiency", (radio, value))
-        return value
 
 
 @dataclass(frozen=True)
@@ -106,111 +93,108 @@ def estimate_demand(forecast_counts, profile: TaskProfile, radio: RadioParams,
     counts = np.asarray(forecast_counts, dtype=float)
     if np.any(counts < 0):
         raise ValueError("forecast counts must be nonnegative")
-    efficiency = profile.spectral_efficiency(radio)
+    efficiency = radio.spectral_efficiency(profile.mean_distance)
     bw = counts * profile.mean_data_size / (econ.deadline * kappa_up * efficiency)
     compute = (counts * profile.mean_data_size * profile.mean_compute_density
                / (econ.deadline * kappa_exe))
     return DemandVector(bw_demand=bw, compute_demand=compute)
 
 
-def _solve_one_resource(options, capacities, demand: float, region: int, resource: str):
+def _resources(reg: RegionCatalog) -> tuple:
+    """A region's resource kinds as ``(name, options, capacities)``: its
+    bandwidth (capacities in Hz), then its compute (cycles/s)."""
+    return (("bandwidth", reg.bandwidth_options, [cap for cap, _ in reg.bandwidth_options]),
+            ("compute", reg.vm_options, [cnt * reg.vm_frequency for cnt, _ in reg.vm_options]))
+
+
+def _cheapest_cover(options, capacities, demand: float) -> int | None:
+    """Index of the lowest-cost option whose capacity covers ``demand`` (the
+    lowest index on equal cost), or None when no option does."""
+    covering = [k for k, cap in enumerate(capacities) if cap >= demand]
+    return min(covering, key=lambda k: options[k][1], default=None)
+
+
+def _require_cover(options, capacities, demand: float, region: int, resource: str) -> int:
+    """``_cheapest_cover``, or InfeasibleSliceError when no option covers."""
+    cover = _cheapest_cover(options, capacities, demand)
+    if cover is None:
+        raise InfeasibleSliceError(region=region, resource=resource,
+                                   demand=demand, capacity=float(max(capacities)))
+    return cover
+
+
+def _solve_one_resource(options, capacities, demand: float, region: int,
+                        resource: str) -> np.ndarray:
     """Min-cost simplex weights whose chosen capacity covers the demand.
 
     Vertices of the two-constraint polytope are single options or tight
-    two-option mixes.  A mix is admitted only when its covering option is
-    the cheapest single option that covers demand, so every rounded draw
-    lands on, or is repaired to, that optimum; the weights' cost still
-    lower-bounds every feasible one-hot choice."""
+    two-option mixes.  A mix is admitted only when its covering option costs
+    what the cheapest cover does, so every rounded draw lands on, or is
+    repaired to, that optimum; the weights' cost still lower-bounds every
+    feasible one-hot choice."""
+    cover = _require_cover(options, capacities, demand, region, resource)
     costs = np.array([cost for _, cost in options], dtype=float)
     caps = np.asarray(capacities, dtype=float)
     n = len(options)
-    if demand > caps.max():
-        raise InfeasibleSliceError(region=region, resource=resource,
-                                   demand=demand, capacity=float(caps.max()))
-    best_cost = np.inf
-    best = None
-    for k in range(n):
-        if caps[k] >= demand and costs[k] < best_cost:
-            w = np.zeros(n)
-            w[k] = 1.0
-            best_cost, best = costs[k], w
-    cheapest_cover = best_cost
+    best = np.eye(n)[cover]
+    best_cost = costs[cover]
     for a in range(n):
         for b in range(n):
-            if caps[a] < demand < caps[b] and costs[b] == cheapest_cover:
+            if caps[a] < demand < caps[b] and costs[b] == costs[cover]:
                 lam = (caps[b] - demand) / (caps[b] - caps[a])
                 cost = lam * costs[a] + (1.0 - lam) * costs[b]
                 if cost < best_cost - 1e-12:
-                    w = np.zeros(n)
-                    w[a], w[b] = lam, 1.0 - lam
-                    best_cost, best = cost, w
-    return best, best_cost
+                    best = np.zeros(n)
+                    best[a], best[b] = lam, 1.0 - lam
+                    best_cost = cost
+    return best
 
 
 def solve_relaxed(demand: DemandVector, catalog: ResourceCatalog) -> FractionalSlice:
     """Optimal fractional rental per region (relaxed choice variables)."""
-    bw_weights, vm_weights = [], []
+    needs = (demand.bw_demand, demand.compute_demand)
+    weights = ([], [])
     for i, reg in enumerate(catalog.regions):
-        bw_caps = [cap for cap, _ in reg.bandwidth_options]
-        w, _ = _solve_one_resource(reg.bandwidth_options, bw_caps,
-                                   float(demand.bw_demand[i]), i, "bandwidth")
-        bw_weights.append(w)
-        vm_caps = [cnt * reg.vm_frequency for cnt, _ in reg.vm_options]
-        w, _ = _solve_one_resource(reg.vm_options, vm_caps,
-                                   float(demand.compute_demand[i]), i, "compute")
-        vm_weights.append(w)
-    return FractionalSlice(bw_weights=tuple(bw_weights), vm_weights=tuple(vm_weights))
+        for k, (name, options, caps) in enumerate(_resources(reg)):
+            weights[k].append(_solve_one_resource(options, caps, float(needs[k][i]), i, name))
+    return FractionalSlice(*map(tuple, weights))
 
 
 def relaxed_cost(frac: FractionalSlice, catalog: ResourceCatalog) -> float:
     """Objective value of a fractional slice."""
     total = 0.0
     for i, reg in enumerate(catalog.regions):
-        total += sum(w * cost for w, (_, cost)
-                     in zip(frac.bw_weights[i], reg.bandwidth_options))
-        total += sum(w * cost for w, (_, cost)
-                     in zip(frac.vm_weights[i], reg.vm_options))
+        for w, (_, options, _) in zip((frac.bw_weights[i], frac.vm_weights[i]),
+                                      _resources(reg)):
+            total += sum(wk * cost for wk, (_, cost) in zip(w, options))
     return total
-
-
-def _round_one(weights, options, capacities, demand, rng):
-    """Sample an option from the weights; repair infeasible draws to the
-    cheapest option that covers the demand."""
-    probs = np.clip(np.asarray(weights, dtype=float), 0.0, None)
-    probs = probs / probs.sum()
-    k = int(rng.choice(len(options), p=probs))
-    if capacities[k] >= demand:
-        return k
-    feasible = [(cost, j) for j, ((_, cost), cap)
-                in enumerate(zip(options, capacities)) if cap >= demand]
-    _, j = min(feasible)
-    return j
 
 
 def randomized_round(frac: FractionalSlice, demand: DemandVector,
                      catalog: ResourceCatalog, rng: np.random.Generator) -> SliceDecision:
-    """Draw one option per region from the fractional weights, repairing any
-    draw that would under-provision its region."""
-    bw_idx, vm_idx = [], []
+    """Draw one option per region from the fractional weights, repairing a
+    draw that would under-provision its region to the cheapest cover."""
+    needs = (demand.bw_demand, demand.compute_demand)
+    picks = ([], [])
     for i, reg in enumerate(catalog.regions):
-        bw_caps = [cap for cap, _ in reg.bandwidth_options]
-        bw_idx.append(_round_one(frac.bw_weights[i], reg.bandwidth_options,
-                                 bw_caps, float(demand.bw_demand[i]), rng))
-        vm_caps = [cnt * reg.vm_frequency for cnt, _ in reg.vm_options]
-        vm_idx.append(_round_one(frac.vm_weights[i], reg.vm_options,
-                                 vm_caps, float(demand.compute_demand[i]), rng))
-    return SliceDecision(bw=tuple(bw_idx), vm=tuple(vm_idx))
+        weights = (frac.bw_weights[i], frac.vm_weights[i])
+        for k, (name, options, caps) in enumerate(_resources(reg)):
+            need = float(needs[k][i])
+            probs = np.clip(np.asarray(weights[k], dtype=float), 0.0, None)
+            pick = int(rng.choice(len(options), p=probs / probs.sum()))
+            if caps[pick] < need:
+                pick = _require_cover(options, caps, need, i, name)
+            picks[k].append(pick)
+    return SliceDecision(*map(tuple, picks))
 
 
 def cheapest_slice(catalog: ResourceCatalog) -> SliceDecision:
     """Minimum-cost rental ignoring demand; the empty-history fallback."""
-    bw_idx = [min(range(len(reg.bandwidth_options)),
-                  key=lambda k: (reg.bandwidth_options[k][1], k))
-              for reg in catalog.regions]
-    vm_idx = [min(range(len(reg.vm_options)),
-                  key=lambda k: (reg.vm_options[k][1], k))
-              for reg in catalog.regions]
-    return SliceDecision(bw=tuple(bw_idx), vm=tuple(vm_idx))
+    picks = ([], [])
+    for reg in catalog.regions:
+        for k, (_, options, caps) in enumerate(_resources(reg)):
+            picks[k].append(_cheapest_cover(options, caps, 0.0))
+    return SliceDecision(*map(tuple, picks))
 
 
 def adjust_slices(history: TrafficSeries | None, catalog: ResourceCatalog,

@@ -4,6 +4,7 @@ behavior, float32 computation, baselines."""
 
 import hashlib
 import math
+import tracemalloc
 from copy import deepcopy
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 from edgeslice import checkpoint, forecasting, harness
 from edgeslice.config import build_config
-from edgeslice.errors import DivergenceError
+from edgeslice.errors import CheckpointError, DivergenceError
 from edgeslice.forecasting import (ForecastConfig, ForecastModel, TrafficSeries,
                                    _positional_encoding, baseline_forecast, build_io, distill_block,
                                    fit, forecast, probsparse_attention,
@@ -474,6 +475,23 @@ class TestCheckpointRoundTrip:
         model.save(path)
         loaded = ForecastModel.load(path)
         assert np.array_equal(forecast(model, series, 2), forecast(loaded, series, 2))
+
+    def test_oversized_header_refused_before_allocating(self, tmp_path):
+        # A header width of 1024 sizes (1024, 1024) and (3, 1024, 1024)
+        # parameters, about 120 MB in all.  The stored arrays have the
+        # default width, so the load is refused before any parameter is made.
+        path = tmp_path / "model.ckpt"
+        ForecastModel(ForecastConfig(), np.random.default_rng(0)).save(path)
+        arrays, meta = checkpoint.load_arrays(path)
+        checkpoint.save_arrays(path, arrays, {**meta, "width": 1024})
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="'embed_w'"):
+                ForecastModel.load(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20, peak
 
     def test_magic_line_checked(self, tmp_path):
         path = tmp_path / "bogus.ckpt"

@@ -450,6 +450,56 @@ class TestRun:
             harness.run(cfg, "greedy", 0, plan=plan[:-1])
 
 
+class TestSlicePlan:
+    @pytest.mark.parametrize("trained", [False, True])
+    def test_every_long_slot_rents_the_cheapest_cover(self, trained):
+        # Default config, seeds 0-9: the first slot rents the cheapest
+        # slice, and every later slot the cheapest cover of the demand its
+        # predictor implies (the persistence plan, or a 1-epoch forecaster
+        # trained on 24 slots).
+        cfg = build_config({})
+        model = None
+        if trained:
+            short = build_config({"forecaster": {"epochs": 1}})
+            model, _ = harness.train_forecaster(short, 0, history_slots=24)
+        predictor = harness.make_predictor(model, cfg.n_max)
+        profile = harness.task_profile(cfg)
+        for seed in range(10):
+            scenario_s = generate_scenario(cfg, seed)
+            plan = harness.slice_plan(cfg, seed, scenario_s, model)
+            assert len(plan) == cfg.horizon
+            assert plan[0] == slicing.cheapest_slice(cfg.catalog)
+            for h in range(2, cfg.horizon + 1):
+                history = harness.TrafficSeries(scenario_s.counts[:, :h - 1])
+                demand = slicing.estimate_demand(
+                    predictor(history, 1)[:, 0], profile, cfg.radio, cfg.econ,
+                    cfg.kappa_up, cfg.kappa_exe)
+                assert plan[h - 1] == baselines.brute_force_slicing(
+                    demand, cfg.catalog)[1], (seed, h)
+
+
+class TestShortSlotBacklog:
+    @pytest.mark.parametrize("deadline,backlog", [(1.0, False), (2.0, True)])
+    def test_backlog_crosses_a_short_slot_only_past_its_length(
+            self, monkeypatch, deadline, backlog):
+        # A task is only served when it finishes by its deadline, so with
+        # deadline <= slot_duration every VM queue drains within its slot.
+        cfg = build_config({"econ": {"deadline": deadline}})
+        assert cfg.slot_duration == 1.0
+        starts = []
+        real_step = harness.step
+
+        def spy(state, *args, **kwargs):
+            starts.append(any(state.pending))
+            return real_step(state, *args, **kwargs)
+        monkeypatch.setattr(harness, "step", spy)
+        for tag in ("greedy", "auction", "max_transaction", "random"):
+            for seed in range(3):
+                harness.run(cfg, tag, seed)
+        assert len(starts) == 12 * cfg.horizon * cfg.short_slots * cfg.regions
+        assert any(starts) == backlog, sum(starts)
+
+
 class TestReport:
     def test_csv_has_eight_columns(self, tmp_path):
         cfg = build_config(small_doc())

@@ -1,6 +1,8 @@
 """Dense-network substrate tests: forward algebra, reverse-mode gradients
 against central finite differences, optimizer behavior, soft updates."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,20 @@ class TestForward:
         net = random_net(np.random.default_rng(0), dims=[4, 2], acts=["relu"])
         with pytest.raises(ValueError):
             net.forward(np.zeros(5))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_elu_of_large_input_raises_no_warning(self, dtype):
+        # The exponential branch is discarded above 0, so it must not
+        # overflow there either.
+        f, df = activation("elu")
+        z = np.array([1e3, -1e3, -0.0, 0.5], dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, slope = f(z), df(z)
+        assert out.dtype == slope.dtype == dtype
+        assert out.tolist() == [1e3, -1.0, 0.0, 0.5]
+        assert np.signbit(out[2])
+        assert slope.tolist() == [1.0, 0.0, 1.0, 1.0]
 
 
 class TestBackward:

@@ -49,22 +49,6 @@ class TestEstimateDemand:
         eff = RADIO.spectral_efficiency(100.0)
         assert demand.bw_demand[0] == pytest.approx(1e6 / (0.5 * eff))
 
-    def test_efficiency_evaluated_once_per_profile_and_radio(self, monkeypatch):
-        calls = []
-        evaluate = RadioParams.spectral_efficiency
-
-        def counted(radio, distance):
-            calls.append(radio)
-            return evaluate(radio, distance)
-        monkeypatch.setattr(RadioParams, "spectral_efficiency", counted)
-        profile = TaskProfile(1e6, 100.0, 100.0)
-        other = RadioParams(upload_power=0.2)
-        for radio in (RADIO, RADIO, other, other, RADIO):
-            demand = estimate_demand(np.array([2.0]), profile, radio, ECON)
-            assert demand.bw_demand[0] == \
-                2.0 * 1e6 / (1.0 * 0.5 * evaluate(radio, 100.0))
-        assert calls == [RADIO, other, RADIO]
-
     def test_linear_in_count(self):
         d1 = estimate_demand(np.array([3.0]), PROFILE, RADIO, ECON)
         d2 = estimate_demand(np.array([6.0]), PROFILE, RADIO, ECON)
@@ -153,6 +137,17 @@ class TestRandomizedRound:
                                     np.random.default_rng(0))
         # Sampled option 0 under-provisions; cheapest feasible is index 2.
         assert decision.bw[0] == 2
+
+    def test_unrepairable_draw_names_region_and_resource(self):
+        # No option covers the demand, so the draw cannot be repaired.
+        catalog = catalog_of([(5.0, 1.0), (10.0, 3.0)])
+        frac = FractionalSlice(bw_weights=(np.array([1.0, 0.0]),),
+                               vm_weights=(np.array([1.0, 0.0]),))
+        demand = DemandVector(np.array([12.0]), np.array([0.0]))
+        with pytest.raises(InfeasibleSliceError) as err:
+            randomized_round(frac, demand, catalog, np.random.default_rng(0))
+        assert (err.value.region, err.value.resource) == (0, "bandwidth")
+        assert err.value.shortfall == pytest.approx(2.0)
 
     def test_rounded_decisions_always_cover_demand(self):
         rng = np.random.default_rng(11)
