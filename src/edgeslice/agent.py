@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -695,8 +696,9 @@ def load_agent(path) -> AgentBundle:
 # Training loop
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CurveRow:
+class CurveRow(NamedTuple):
+    """One learning-curve row; the fields head the curves CSVs."""
+
     epoch: int
     step: int
     critic_loss1: float
@@ -704,12 +706,9 @@ class CurveRow:
     actor_objective: float
     eval_reward: float
 
-    CSV_HEADER = ("epoch", "step", "critic_loss1", "critic_loss2",
-                  "actor_objective", "eval_reward")
-
-    def as_row(self):
-        return (self.epoch, self.step, self.critic_loss1, self.critic_loss2,
-                self.actor_objective, self.eval_reward)
+    def as_row(self) -> tuple:
+        """The row as a plain tuple, as perfbench's train_dual fingerprints it."""
+        return tuple(self)
 
 
 def greedy_episode_reward(agent: AgentBundle, env) -> float:
@@ -752,7 +751,12 @@ def train(env_current, env_peer, hp: AgentHyperparams, n_max: int,
         agent = make_agent(n_max, state_scale, hidden=tuple(hp.hidden),
                            rng=keys[idx], noise_scale=hp.noise_start,
                            distill_alpha=hp.distill_alpha, frequency=frequency)
-        buffer = ReplayBuffer(hp.buffer_capacity, state_dim(n_max), n_max)
+        # A side pushes one transition per slot, at least one per episode.
+        # A ring sized to hold them all never wraps, so it samples as a
+        # larger one would.
+        pushes = hp.epochs * max(1, env.episode_slots)
+        buffer = ReplayBuffer(min(hp.buffer_capacity, pushes), state_dim(n_max),
+                              n_max)
         sides.append(_Side(agent=agent, env=env, buffer=buffer,
                            noise_rng=keys[2 + idx], sample_rng=keys[4 + idx],
                            smooth_rng=keys[6 + idx]))

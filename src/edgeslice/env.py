@@ -244,7 +244,8 @@ class TimingBreakdown:
 
 
 class SettlementRecord(NamedTuple):
-    """One per-task settlement row of the simulation log."""
+    """One per-task settlement row of the simulation log; the fields head
+    settlements.csv."""
 
     region: int
     long_slot: int
@@ -255,12 +256,6 @@ class SettlementRecord(NamedTuple):
     t_exe: float
     t_total: float
     revenue: float
-
-    CSV_HEADER = ("region", "long_slot", "short_slot", "task_id",
-                  "t_up", "t_que", "t_exe", "t_total", "revenue")
-
-    def as_row(self) -> tuple:
-        return tuple(self)
 
 
 # ---------------------------------------------------------------------------

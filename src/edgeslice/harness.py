@@ -8,7 +8,6 @@ are byte-identical.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import math
@@ -18,6 +17,7 @@ from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import starmap
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,13 +35,9 @@ log = logging.getLogger("edgeslice")
 
 POLICY_TAGS = ("sliceoff", "greedy", "max_transaction", "auction", "random", "oracle")
 
-METRICS_HEADER = ("h", "revenue", "cost", "profit", "offloaded",
-                  "hit_rate", "bw_util", "vm_util")
 
-
-@dataclass
-class SlotMetrics:
-    """Aggregates for one long slot."""
+class SlotMetrics(NamedTuple):
+    """Aggregates for one long slot; the fields head metrics.csv."""
 
     h: int
     revenue: float
@@ -51,16 +47,6 @@ class SlotMetrics:
     hit_rate: float
     bw_util: float
     vm_util: float
-
-    def __post_init__(self):
-        if abs(self.profit - (self.revenue - self.cost)) > 1e-9:
-            raise ValueError("profit must equal revenue - cost")
-        if self.offloaded < 0:
-            raise ValueError("offloaded count must be nonnegative")
-
-    def as_row(self):
-        return (self.h, self.revenue, self.cost, self.profit, self.offloaded,
-                self.hit_rate, self.bw_util, self.vm_util)
 
 
 # The typecodes of the log's columns, in `SettlementRecord` field order.
@@ -263,7 +249,7 @@ def slice_plan(config: Config, seed: int, scenario: Scenario,
     profile = task_profile(config)
     plan = []
     for h in range(1, config.horizon + 1):
-        history = TrafficSeries(scenario.counts[:, :h - 1]) if h > 1 else None
+        history = TrafficSeries(scenario.counts[:, :h - 1])
         plan.append(slicing.adjust_slices(history, config.catalog, predictor,
                                           rng_round, profile, config.radio,
                                           config.econ, config.kappa_up,
@@ -359,24 +345,11 @@ def _atomic_write(path, text: str) -> None:
 
 
 def _csv_text(header, rows) -> str:
-    import io
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    return buf.getvalue()
-
-
-# One settlements.csv row: the bytes _csv_text writes for a record (its
-# four ints as str, its five floats as repr; neither ever needs quoting).
-_SETTLEMENT_ROW = "%d,%d,%d,%d,%r,%r,%r,%r,%r\n"
-
-
-def _settlements_text(rows) -> str:
-    row = _SETTLEMENT_ROW
-    return ",".join(SettlementRecord.CSV_HEADER) + "\n" + "".join(
-        [row % rec for rec in rows])
+    """CSV text: the header line, then one line per row tuple.  ``%s`` of a
+    float is its repr, and no value (a number or a policy tag) needs
+    quoting."""
+    line = ",".join(["%s"] * len(header)) + "\n"
+    return ",".join(header) + "\n" + "".join([line % row for row in rows])
 
 
 def report(metrics: MetricsReport, out_dir) -> dict:
@@ -386,13 +359,13 @@ def report(metrics: MetricsReport, out_dir) -> dict:
         "summary": os.path.join(out_dir, "summary.json"),
         "settlements": os.path.join(out_dir, "settlements.csv"),
     }
-    _csv_rows = [r.as_row() for r in metrics.rows]
     try:
         os.makedirs(out_dir, exist_ok=True)
-        _atomic_write(paths["metrics"], _csv_text(METRICS_HEADER, _csv_rows))
+        _atomic_write(paths["metrics"], _csv_text(SlotMetrics._fields, metrics.rows))
         _atomic_write(paths["summary"],
                       json.dumps(metrics.totals(), sort_keys=True, indent=2) + "\n")
-        _atomic_write(paths["settlements"], _settlements_text(metrics.settlements.rows()))
+        _atomic_write(paths["settlements"],
+                      _csv_text(SettlementRecord._fields, metrics.settlements.rows()))
     except OSError as exc:
         raise OSError(f"cannot write report under {out_dir}: {exc}") from exc
     return paths
@@ -402,7 +375,7 @@ def compare(config: Config, policies, seeds, out_dir, agent_bundle=None,
             peer_bundle=None, forecaster=None) -> dict:
     """Run a policy x seed grid; write per-run reports plus comparison.csv
     (one row per listed tag: the means over its runs of every metric of
-    ``METRICS_HEADER`` after ``h``) and a combined summary.json.
+    `SlotMetrics` after ``h``) and a combined summary.json.
 
     Every tag is checked before anything is written.  ``peer_bundle``
     switches ``sliceoff`` to the hybrid policy."""
@@ -437,7 +410,7 @@ def compare(config: Config, policies, seeds, out_dir, agent_bundle=None,
     # Policy-major, as the grid is listed.
     all_totals = [totals[i, j] for i in range(len(policies))
                   for j in range(len(seeds))]
-    keys = METRICS_HEADER[1:]
+    keys = SlotMetrics._fields[1:]
     means = {}
     for tag in policies:
         runs = [t for t in all_totals if t["policy"] == tag]
@@ -512,16 +485,14 @@ def train_all(config: Config, out_dir, seed: int | None = None) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     model.save(os.path.join(out_dir, "forecaster.ckpt"))
     _atomic_write(os.path.join(out_dir, "forecaster_loss.csv"),
-                  _csv_text(("epoch", "loss"),
-                            [(i, v) for i, v in enumerate(trace)]))
+                  _csv_text(("epoch", "loss"), enumerate(trace)))
     current, peer, curves_c, curves_p = train_agents(config, seed)
     agent_mod.save_agent(current, os.path.join(out_dir, "agent_current.ckpt"))
     agent_mod.save_agent(peer, os.path.join(out_dir, "agent_peer.ckpt"))
     for name, curves in (("curves_current.csv", curves_c),
                          ("curves_peer.csv", curves_p)):
         _atomic_write(os.path.join(out_dir, name),
-                      _csv_text(agent_mod.CurveRow.CSV_HEADER,
-                                [row.as_row() for row in curves]))
+                      _csv_text(agent_mod.CurveRow._fields, curves))
     return {"out_dir": str(out_dir), "forecaster_epochs": len(trace),
             "agent_steps": current.step_count}
 

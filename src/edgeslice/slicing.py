@@ -197,16 +197,17 @@ def cheapest_slice(catalog: ResourceCatalog) -> SliceDecision:
     return SliceDecision(*map(tuple, picks))
 
 
-def adjust_slices(history: TrafficSeries | None, catalog: ResourceCatalog,
+def adjust_slices(history: TrafficSeries, catalog: ResourceCatalog,
                   predictor, rng: np.random.Generator, profile: TaskProfile,
                   radio: RadioParams, econ: EconParams,
                   kappa_up: float = 0.5, kappa_exe: float = 0.5) -> SliceDecision:
     """Full per-long-slot adjustment: predict, size demand, solve, round.
 
     ``predictor(history, horizon)`` must return a (regions, horizon) count
-    matrix.  An empty or missing history falls back to the cheapest slice.
+    matrix.  An empty history (no slot observed yet) gets the cheapest
+    slice.
     """
-    if history is None or history.num_slots == 0:
+    if history.num_slots == 0:
         return cheapest_slice(catalog)
     counts = np.asarray(predictor(history, 1), dtype=float)[:, 0]
     demand = estimate_demand(counts, profile, radio, econ,

@@ -70,7 +70,10 @@ def trained_instance_agents():
 
 @pytest.fixture(scope="session")
 def trained_episode_agents():
-    """Agents trained on multi-slot episodes (queue carryover)."""
+    """Agents trained on multi-slot episodes (``short_slots`` slots each,
+    gamma 0.6).  The desk config's deadline does not exceed the slot
+    duration, so every slot starts with empty queues: no backlog carries
+    from one slot to the next."""
     cfg = desk_config(gamma=0.6, epochs=1500)
     fam = instance_family(cfg)
     env_c = OffloadEnv(fam, cfg.n_max, seed=31, episode_slots=cfg.short_slots)
@@ -461,7 +464,7 @@ def test_settlement_problems_names_each_breach():
     records[mistimed] = rec._replace(t_total=rec.t_total * (1 + 1e-9))
     del records[unpaid[0]]
     row = metrics.rows[0]
-    rows = [replace(row, revenue=row.revenue + 1.0, profit=row.profit + 1.0),
+    rows = [row._replace(revenue=row.revenue + 1.0, profit=row.profit + 1.0),
             *metrics.rows[1:]]
     broken = replace(metrics, settlements=records, rows=rows)
     problems = settlement_problems(broken, scenario, deadline)

@@ -226,6 +226,15 @@ class TestReplayBuffer:
         r2 = buf.sample(np.random.default_rng(5), 4)[2]
         assert np.array_equal(r1, r2)
 
+    def test_unwrapped_ring_samples_like_a_larger_one(self):
+        small, large = A.ReplayBuffer(6, 2, 1), A.ReplayBuffer(60, 2, 1)
+        for i in range(6):
+            for buf in (small, large):
+                buf.push([i, -i], [i / 6], float(i), [i + 1, 0])
+        for a, b in zip(small.sample(np.random.default_rng(4), 32),
+                        large.sample(np.random.default_rng(4), 32)):
+            assert np.array_equal(a, b)
+
 
 class TestTdTarget:
     def test_gamma_zero_returns_rewards(self):
@@ -706,6 +715,41 @@ class TestTrain:
         hp = tiny_hyperparams(epochs=10)
         hp.buffer_capacity = 20
         A.train(env_c, env_p, hp, N_MAX, scale, seed=8)
+
+    def test_buffer_sized_to_the_pushes(self, monkeypatch):
+        # A side pushes epochs x episode_slots transitions; the ring holds
+        # no more rows than that, nor more than the configured capacity.
+        asked = []
+
+        class Spy(A.ReplayBuffer):
+            def __init__(self, capacity, *args):
+                asked.append(capacity)
+                super().__init__(capacity, *args)
+
+        monkeypatch.setattr(A, "ReplayBuffer", Spy)
+        scale = A.feature_scale(N_MAX, 3e6, 5e5, 1e8, RADIO.upload_power)
+        for capacity, expected in ((500, 30), (20, 20)):
+            asked.clear()
+            hp = tiny_hyperparams(epochs=10)
+            hp.buffer_capacity = capacity
+            env_c = OffloadEnv(tiny_family(), N_MAX, seed=3, episode_slots=3)
+            env_p = OffloadEnv(tiny_family(), N_MAX, seed=4, episode_slots=3)
+            A.train(env_c, env_p, hp, N_MAX, scale, seed=8)
+            assert asked == [expected, expected]
+
+    def test_capacity_beyond_the_pushes_changes_no_curve(self):
+        def curves(capacity):
+            hp = tiny_hyperparams(epochs=10)
+            hp.buffer_capacity = capacity
+            env_c = OffloadEnv(tiny_family(), N_MAX, seed=1, episode_slots=3)
+            env_p = OffloadEnv(tiny_family(), N_MAX, seed=2, episode_slots=3)
+            scale = A.feature_scale(N_MAX, 3e6, 5e5, 1e8, RADIO.upload_power)
+            _, _, curves_c, curves_p = A.train(env_c, env_p, hp, N_MAX, scale,
+                                               seed=7)
+            return curves_c + curves_p
+
+        pushes = 10 * 3
+        assert curves(pushes) == curves(10 * pushes)
 
     def test_golden_training_bits(self):
         # sha256 over both agents' curves and their six nets' parameters and

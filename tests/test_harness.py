@@ -46,7 +46,7 @@ def tree_sha256(root) -> str:
 
 def report_rows(metrics):
     """Everything a run reports: metric rows, settlements, rentals."""
-    return ([r.as_row() for r in metrics.rows],
+    return (list(metrics.rows),
             [tuple(rec) for rec in metrics.settlements],
             list(metrics.rental_log))
 
@@ -268,9 +268,8 @@ class TestRun:
         cfg = build_config(small_doc())
         m1 = harness.run(cfg, "greedy", seed=5)
         m2 = harness.run(cfg, "greedy", seed=5)
-        assert [r.as_row() for r in m1.rows] == [r.as_row() for r in m2.rows]
-        assert [r.as_row() for r in m1.settlements] == \
-               [r.as_row() for r in m2.settlements]
+        assert m1.rows == m2.rows
+        assert list(m1.settlements) == list(m2.settlements)
         assert m1 == m2
 
     def test_profit_equals_log_resummation(self):
@@ -369,7 +368,7 @@ class TestRun:
 
         def rows(**bundles):
             metrics = harness.run(cfg, "sliceoff", seed=3, **bundles)
-            return [rec.as_row() for rec in metrics.settlements]
+            return list(metrics.settlements)
 
         hybrid = rows(agent_bundle=current, peer_bundle=peer)
         assert hybrid == rows(agent_bundle=peer)
@@ -507,7 +506,7 @@ class TestReport:
         paths = harness.report(metrics, tmp_path / "out")
         with open(paths["metrics"]) as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == list(harness.METRICS_HEADER)
+        assert rows[0] == list(harness.SlotMetrics._fields)
         assert all(len(r) == 8 for r in rows)
         assert len(rows) == cfg.horizon + 1
 
@@ -516,7 +515,7 @@ class TestReport:
         paths = harness.report(metrics, tmp_path / "empty")
         with open(paths["metrics"]) as fh:
             rows = list(csv.reader(fh))
-        assert rows == [list(harness.METRICS_HEADER)]
+        assert rows == [list(harness.SlotMetrics._fields)]
 
     def test_summary_totals_equal_csv_sums(self, tmp_path):
         cfg = build_config(small_doc())
@@ -532,15 +531,23 @@ class TestReport:
         assert summary["offloaded"] == sum(int(r["offloaded"]) for r in rows)
 
 
-    def test_settlement_rows_match_csv_writer(self):
+    def test_csv_text_pins_edge_value_bytes(self):
+        # Ints as str, floats as repr (shortest round-trip), nothing quoted.
+        header = SettlementRecord._fields
         rows = [SettlementRecord(0, 1, 1, 0, float("inf"), 0.0, 0.0, float("inf"), 0.0),
                 SettlementRecord(2, 20, 10, 2 ** 40, 1e-05, 1.5e+20, 0.1 + 0.2,
                                  1.5e+20, 30.0),
                 SettlementRecord(1, 3, 7, 12345678901234567890, 5e-324, -0.0,
                                  1.7976931348623157e+308, 0.30000000000000004, 10.0)]
-        for records in ([], rows):
-            assert harness._settlements_text(records) == harness._csv_text(
-                SettlementRecord.CSV_HEADER, [r.as_row() for r in records])
+        head = "region,long_slot,short_slot,task_id,t_up,t_que,t_exe,t_total,revenue\n"
+        assert harness._csv_text(header, []) == head
+        assert harness._csv_text(header, rows) == head + (
+            "0,1,1,0,inf,0.0,0.0,inf,0.0\n"
+            "2,20,10,1099511627776,1e-05,1.5e+20,0.30000000000000004,1.5e+20,30.0\n"
+            "1,3,7,12345678901234567890,5e-324,-0.0,1.7976931348623157e+308,"
+            "0.30000000000000004,10.0\n")
+        assert harness._csv_text(("policy", "profit"), [("max_transaction", -0.5)]) \
+            == "policy,profit\nmax_transaction,-0.5\n"
 
     def test_uncreatable_directory_raises_oserror(self, tmp_path):
         blocker = tmp_path / "file"
@@ -660,7 +667,7 @@ class TestCompare:
     def test_one_metric_list_for_summary_and_comparison(self, tmp_path):
         cfg = build_config(small_doc())
         summary = harness.compare(cfg, ["greedy"], [0], tmp_path)
-        metrics = harness.METRICS_HEADER[1:]
+        metrics = harness.SlotMetrics._fields[1:]
         run_summary = json.loads((tmp_path / "greedy_seed0" / "summary.json").read_bytes())
         assert set(run_summary) == {"policy", "seed"} | set(metrics)
         assert set(summary["policies"]["greedy"]) == set(metrics)

@@ -203,8 +203,9 @@ class TestAdjustSlices:
 
     def test_empty_history_returns_cheapest_default(self):
         catalog = catalog_of([(5.0, 1.0), (10.0, 3.0)])
-        decision = adjust_slices(None, catalog, self.persistence,
-                                 np.random.default_rng(0), PROFILE, RADIO, ECON)
+        decision = adjust_slices(TrafficSeries(np.zeros((1, 0))), catalog,
+                                 self.persistence, np.random.default_rng(0),
+                                 PROFILE, RADIO, ECON)
         assert decision == cheapest_slice(catalog)
 
     def test_constant_traffic_matches_enumeration(self):
