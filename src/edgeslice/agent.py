@@ -14,9 +14,10 @@ fraction and no score.
 
 The six nets (actor, twin critics and their targets) hold float32
 parameters and Adam moments, and their feature rows are float32; the
-observations, replay buffer, actions, rewards and value estimates stay
-float64.  A checkpoint's nets load from float32 or float64 arrays and are
-cast to float32.
+observations, actions, rewards and value estimates stay float64.  The
+replay ring stores each observation's feature rows, featurised once when
+the environment returned it.  A checkpoint's nets load from float32 or
+float64 arrays and are cast to float32.
 
 Two peer agents explore the allocation problem from differently seeded
 environments.  Each runs clipped-noise target smoothing, a min-of-two-target
@@ -28,6 +29,7 @@ twin-critic value over one's own.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -151,33 +153,62 @@ def feature_scale(n_max: int, bw_ref: float, rate_ref: float,
 # ---------------------------------------------------------------------------
 
 class ReplayBuffer:
-    """Fixed-capacity ring of (s, a, r, s') transitions, sampled uniformly."""
+    """Fixed-capacity ring of (s, a, r, s') transitions, sampled uniformly.
 
-    def __init__(self, capacity: int, state_size: int, action_size: int):
+    Both observations of a transition are stored featurised, as pushed: a
+    one-observation `_Features` holder's slot rows (the nets' dtype; slots
+    past the user count are never read), its float64 need column and its
+    user count.  At ``n_max`` 10 with float32 nets that is 1,544 bytes per
+    transition, against 1,432 for two raw float64 observations.  `sample`
+    gathers the occupied rows of each half into a `_Features` holder built
+    for ``config`` (a block's `config`), so an update step featurises
+    nothing; the holders carry no raw observations."""
+
+    def __init__(self, capacity: int, config: tuple):
+        n_max, _, dtype = config
         self.capacity = capacity
-        self.states = np.zeros((capacity, state_size))
-        self.actions = np.zeros((capacity, action_size))
+        self.config = config
+        # Axis 0 is the half: 0 the observation acted on, 1 the next one.
+        self.rows = np.zeros((2, capacity * n_max, _STATE_COLS), dtype)
+        self.need = np.zeros((2, capacity * n_max))
+        self.users = np.zeros((2, capacity), dtype=np.int64)
+        self.actions = np.zeros((capacity, n_max))
         self.rewards = np.zeros(capacity)
-        self.next_states = np.zeros((capacity, state_size))
         self._write = 0
         self._size = 0
 
     def __len__(self) -> int:
         return self._size
 
-    def push(self, s, a, r, s2) -> None:
+    def push(self, s: "_Features", a, r, s2: "_Features") -> None:
         i = self._write
-        self.states[i] = s
+        start = i * self.config[0]
+        for half, feats in enumerate((s, s2)):
+            users = feats.valid.size
+            self.rows[half, start:start + users] = feats.rows
+            self.need[half, start:start + users] = feats.need
+            self.users[half, i] = users
         self.actions[i] = a
         self.rewards[i] = r
-        self.next_states[i] = s2
         self._write = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
     def sample(self, rng: np.random.Generator, batch_size: int):
+        """(states, actions, rewards, next states) of ``batch_size`` uniform
+        draws, each state half a `_Features` holder."""
         idx = rng.integers(0, self._size, size=batch_size)
-        return (self.states[idx], self.actions[idx],
-                self.rewards[idx], self.next_states[idx])
+        return (self._gather(0, idx), self.actions[idx], self.rewards[idx],
+                self._gather(1, idx))
+
+    def _gather(self, half: int, idx: np.ndarray) -> "_Features":
+        n_max = self.config[0]
+        users = self.users[half].take(idx)
+        valid = np.flatnonzero(np.arange(n_max) < users[:, None])
+        # Slot j of sample s is valid entry s * n_max + j; it is stored at
+        # row idx[s] * n_max + j.
+        stored = valid + np.repeat((idx - np.arange(idx.size)) * n_max, users)
+        return _Features(valid, self.rows[half].take(stored, axis=0),
+                         self.need[half].take(stored), idx.size, self.config)
 
 
 # ---------------------------------------------------------------------------
@@ -224,19 +255,23 @@ _TAIL_CAPS = np.array([np.inf, _SHARE_CAP, _SHARE_CAP, 4.0])
 class _Features:
     """One batch of observations featurised for a block configuration.
 
-    Built once per batch by `_TaskBlock._state_rows` and shared by every
-    actor and critic pass over it.  Only occupied task slots get a row: the
-    nets never see a padded slot.  ``valid`` lists the occupied slots as
-    flat indices into the (K, n_max) slot grid, in row order.  The critic's
-    action-dependent rows are memoised for the last ``actions`` array (by
-    identity), so twin critics scoring the same actions build them once."""
+    Built by `_TaskBlock._state_rows`, or gathered from stored rows by
+    `ReplayBuffer.sample`, and shared by every actor and critic pass over
+    the batch.  In training each observation is featurised once, when the
+    environment returns it: `act` runs on that one-observation holder and
+    the replay ring stores its rows.  Only occupied task slots get a row:
+    the nets never see a padded slot.  ``valid`` lists the occupied slots
+    as flat indices into the (K, n_max) slot grid, in row order.  The
+    critic's action-dependent rows are memoised for the last ``actions``
+    array (by identity), so twin critics scoring the same actions build
+    them once."""
 
-    states: np.ndarray     # (K, state_dim) raw observations
     valid: np.ndarray      # (V,) flat indices of the occupied slots
     rows: np.ndarray       # (V, _STATE_COLS) state features of occupied slots
     need: np.ndarray       # (V,) minimal bandwidth share at the placement
     k: int
     config: tuple          # (n_max, state_scale, rows' dtype) it was built for
+    states: np.ndarray | None = None  # (K, state_dim) raw observations, if kept
     actions: np.ndarray | None = None
     critic_rows: tuple | None = None
 
@@ -295,12 +330,19 @@ class _TaskBlock:
                                      kind="stable"), axis=1, kind="stable")
         rows[:, 11] = rank.ravel()[valid] / n               # cheapness rank
         np.minimum(own[:, 4:], _TAIL_CAPS, out=rows[:, 12:])
-        return _Features(states, valid, rows.astype(self.net.dtype), rows[:, 8],
-                         k, (n, scale, self.net.dtype))
+        return _Features(valid, rows.astype(self.net.dtype), rows[:, 8], k,
+                         self.config, states)
+
+    @property
+    def config(self) -> tuple:
+        """(n_max, state scale, rows' dtype): what a `_Features` holder
+        built for this block records."""
+        return self.n_max, self.state_scale, self.net.dtype
 
     def _features(self, states) -> _Features:
         """``states`` as features for this block: a holder built for the same
-        n_max, scale and dtype is reused, anything else featurised."""
+        n_max, scale and dtype is reused, anything else featurised.  A
+        replay sample keeps no raw observations, so it must fit the block."""
         if not isinstance(states, _Features):
             return self._state_rows(states)
         n_max, scale, dtype = states.config
@@ -308,6 +350,9 @@ class _TaskBlock:
                 and (scale is self.state_scale
                      or np.array_equal(scale, self.state_scale))):
             return states
+        if states.states is None:
+            raise ValueError("a replay sample built for another n_max, state "
+                             "scale or dtype cannot be featurised again")
         return self._state_rows(states.states)
 
 
@@ -481,11 +526,14 @@ def make_agent(n_max: int, state_scale: np.ndarray, frequency: float,
 # Core update operations
 # ---------------------------------------------------------------------------
 
-def act(agent: AgentBundle, state: np.ndarray, explore: bool,
+def act(agent: AgentBundle, state, explore: bool,
         rng: np.random.Generator | None = None, clip: bool = True) -> np.ndarray:
     """Deterministic policy output, plus Gaussian exploration noise when
-    exploring; clipped back to the unit box unless clip=False."""
+    exploring; clipped back to the unit box unless clip=False.  ``state``
+    is one raw observation or a `_Features` holder of one."""
     a = agent.actor.forward(state)
+    if isinstance(state, _Features):
+        a = a[0]
     if explore:
         if rng is None:
             raise ValueError("exploration requires an rng")
@@ -730,8 +778,27 @@ class _Side:
     noise_rng: np.random.Generator
     sample_rng: np.random.Generator
     smooth_rng: np.random.Generator
-    state: np.ndarray = None
+    state: _Features = None   # the last observation, featurised
     curves: list = field(default_factory=list)
+
+
+# glibc's mallopt parameter number for the heap trim threshold, and the
+# value `train` sets: freed memory at the top of the heap is handed back to
+# the OS only beyond this many bytes.
+_M_TRIM_THRESHOLD = -1
+_HEAP_TRIM_THRESHOLD = 4 << 20
+
+
+def _keep_heap_mapped() -> None:
+    """Set the C allocator's heap trim threshold to `_HEAP_TRIM_THRESHOLD`
+    where the C library has glibc's ``mallopt``; elsewhere do nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, _HEAP_TRIM_THRESHOLD)
 
 
 def train(env_current, env_peer, hp: AgentHyperparams, n_max: int,
@@ -741,8 +808,23 @@ def train(env_current, env_peer, hp: AgentHyperparams, n_max: int,
     update actor / targets / distillation on even steps, symmetrically for
     the peer.  Deterministic given the seed and the envs' own seeding.
 
+    Each observation an environment returns is featurised once: the agent
+    acts on that holder and the replay ring stores its rows, so no update
+    step featurises a sampled batch.
+
+    On glibc, `train` first sets the process's heap trim threshold to
+    `_HEAP_TRIM_THRESHOLD` (4 MiB).  Each update step allocates and frees
+    arrays of about 100 KB; under the default threshold glibc gave the
+    freed top of the heap back to the OS and faulted it in again, some
+    14k-27k minor page faults per 160-step call.  The cost: up to 4 MiB of
+    freed heap stays mapped for the rest of the process, and setting the
+    threshold switches off glibc's dynamic mmap threshold, which then stays
+    where it is (128 KiB unless earlier frees raised it).  Other C
+    libraries are left as they are.
+
     Returns (current agent, peer agent, current curves, peer curves).
     """
+    _keep_heap_mapped()
     ss = np.random.SeedSequence(seed)
     keys = [np.random.default_rng(s) for s in ss.spawn(8)]
     frequency = env_current.vm_frequency
@@ -755,8 +837,7 @@ def train(env_current, env_peer, hp: AgentHyperparams, n_max: int,
         # A ring sized to hold them all never wraps, so it samples as a
         # larger one would.
         pushes = hp.epochs * max(1, env.episode_slots)
-        buffer = ReplayBuffer(min(hp.buffer_capacity, pushes), state_dim(n_max),
-                              n_max)
+        buffer = ReplayBuffer(min(hp.buffer_capacity, pushes), agent.actor.config)
         sides.append(_Side(agent=agent, env=env, buffer=buffer,
                            noise_rng=keys[2 + idx], sample_rng=keys[4 + idx],
                            smooth_rng=keys[6 + idx]))
@@ -780,7 +861,7 @@ def train(env_current, env_peer, hp: AgentHyperparams, n_max: int,
     try:
         for epoch in range(hp.epochs):
             for side in sides:
-                side.state = side.env.reset()
+                side.state = side.agent.actor._state_rows(side.env.reset())
             dones = [False, False]
             while not all(dones):
                 frac = min(1.0, total_steps / noise_span)
@@ -791,6 +872,7 @@ def train(env_current, env_peer, hp: AgentHyperparams, n_max: int,
                     side.agent.noise_scale = sigma
                     a = act(side.agent, side.state, explore=True, rng=side.noise_rng)
                     r, s2, dones[i] = side.env.step(a)
+                    s2 = side.agent.actor._state_rows(s2)
                     side.buffer.push(side.state, a, r / reward_scale, s2)
                     side.state = s2
 
@@ -802,12 +884,9 @@ def train(env_current, env_peer, hp: AgentHyperparams, n_max: int,
                     if len(side.buffer) < max(hp.warmup, hp.batch_size):
                         side.agent.step_count += 1
                         continue
-                    states, actions, rewards, next_states = side.buffer.sample(
-                        side.sample_rng, hp.batch_size)
-                    # Featurise each half once; every pass below shares it.
-                    featurise = side.agent.actor._state_rows
-                    batch = (featurise(states), actions, rewards,
-                             featurise(next_states))
+                    # Both state halves come featurised; every pass below
+                    # shares them.
+                    batch = side.buffer.sample(side.sample_rng, hp.batch_size)
                     y = td_target(side.agent, batch, hp.gamma, hp.smooth_std,
                                   hp.smooth_clip, side.smooth_rng)
                     l1, l2 = update_critics(side.agent, batch, y, hp.critic_lr)

@@ -3,6 +3,12 @@ fixtures, distillation behavior, the hybrid selector, and training smoke."""
 
 import dataclasses
 import hashlib
+import os
+import platform
+import subprocess
+import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,30 +216,68 @@ class TestAct:
 
 
 class TestReplayBuffer:
+    """The ring stores each observation featurised, as the one-observation
+    holder the training loop acts on; transition i below has reward i."""
+
+    def filled(self, capacity, pushes, n_max=N_MAX, counts=None, seed=0):
+        """(ring, agent, observations, next observations) after ``pushes``
+        transitions; ``counts`` cycles the observations' user counts."""
+        rng = np.random.default_rng(seed)
+        scale = A.feature_scale(n_max, bw_ref=3e6, rate_ref=5e5,
+                                compute_ref=1e8, power_ref=RADIO.upload_power)
+        agent = A.make_agent(n_max, scale, hidden=(8,), rng=rng, frequency=1e9)
+        counts = counts or list(range(1, n_max + 1))
+        obs = [A.encode_state(random_region(counts[i % len(counts)], rng),
+                              RADIO, ECON, n_max) for i in range(pushes + 1)]
+        states, next_states = np.array(obs[:-1]), np.array(obs[1:])
+        buf = A.ReplayBuffer(capacity, agent.actor.config)
+        for i in range(pushes):
+            buf.push(agent.actor._state_rows(states[i]), np.full(n_max, i / pushes),
+                     float(i), agent.actor._state_rows(next_states[i]))
+        return buf, agent, states, next_states
+
+    @staticmethod
+    def same_bits(a, b):
+        return (np.array_equal(a.valid, b.valid) and a.k == b.k
+                and a.rows.dtype == b.rows.dtype and np.array_equal(a.rows, b.rows)
+                and np.array_equal(a.need, b.need))
+
     def test_capacity_is_a_ring(self):
-        buf = A.ReplayBuffer(3, 2, 1)
-        for i in range(7):
-            buf.push([i, i], [i], float(i), [i, i])
+        buf, *_ = self.filled(3, 7)
         assert len(buf) == 3
         s, a, r, s2 = buf.sample(np.random.default_rng(0), 10)
         assert set(np.unique(r)).issubset({4.0, 5.0, 6.0})
 
     def test_sampling_deterministic_per_rng(self):
-        buf = A.ReplayBuffer(10, 2, 1)
-        for i in range(10):
-            buf.push([i, 0], [0], float(i), [0, 0])
-        r1 = buf.sample(np.random.default_rng(5), 4)[2]
-        r2 = buf.sample(np.random.default_rng(5), 4)[2]
-        assert np.array_equal(r1, r2)
+        buf, *_ = self.filled(10, 10)
+        first = buf.sample(np.random.default_rng(5), 4)
+        second = buf.sample(np.random.default_rng(5), 4)
+        assert np.array_equal(first[2], second[2])
+        assert self.same_bits(first[0], second[0])
 
     def test_unwrapped_ring_samples_like_a_larger_one(self):
-        small, large = A.ReplayBuffer(6, 2, 1), A.ReplayBuffer(60, 2, 1)
-        for i in range(6):
-            for buf in (small, large):
-                buf.push([i, -i], [i / 6], float(i), [i + 1, 0])
-        for a, b in zip(small.sample(np.random.default_rng(4), 32),
-                        large.sample(np.random.default_rng(4), 32)):
-            assert np.array_equal(a, b)
+        small, *_ = self.filled(6, 6)
+        large, *_ = self.filled(60, 6)
+        (s, a, r, s2), (ls, la, lr, ls2) = (
+            buf.sample(np.random.default_rng(4), 32) for buf in (small, large))
+        assert np.array_equal(a, la) and np.array_equal(r, lr)
+        assert self.same_bits(s, ls) and self.same_bits(s2, ls2)
+
+    @pytest.mark.parametrize("n_max", [N_MAX, 10])
+    def test_sample_has_the_bits_of_featurised_observations(self, n_max):
+        # Zero-user and full observations among partial ones; 20 pushes
+        # into 12 slots overwrite rows of other user counts.
+        buf, agent, states, next_states = self.filled(
+            12, 20, n_max, counts=[0, n_max, 1, n_max - 1, 0, 2, n_max], seed=n_max)
+        s, _, r, s2 = buf.sample(np.random.default_rng(6), 64)
+        idx = r.astype(int)
+        assert {0, n_max} <= set(states[idx, 2]) and set(idx) == set(range(8, 20))
+        for sampled, raw in ((s, states[idx]), (s2, next_states[idx])):
+            assert self.same_bits(sampled, agent.actor._state_rows(raw))
+            padded = padded_state_rows(raw, n_max, agent.state_scale)
+            assert np.array_equal(sampled.rows,
+                                  padded[sampled.valid].astype(np.float32))
+            assert agent.critic1._features(sampled) is sampled
 
 
 class TestTdTarget:
@@ -776,6 +820,52 @@ class TestTrain:
                 digest.update(repr(net.adam.step).encode())
         assert digest.hexdigest() == \
             "0b7624879ad7d40c9370c2b73846f6f83aa41d2c4fe945e5aa045f6e0a12c966"
+
+
+class TestHeapTrim:
+    """On glibc `train` keeps up to 4 MiB of freed heap mapped, so its
+    update steps stop faulting pages in; without ``mallopt`` it trains the
+    same."""
+
+    def curves(self):
+        env_c = OffloadEnv(tiny_family(), N_MAX, seed=1, episode_slots=3)
+        env_p = OffloadEnv(tiny_family(), N_MAX, seed=2, episode_slots=3)
+        scale = A.feature_scale(N_MAX, 3e6, 5e5, 1e8, RADIO.upload_power)
+        _, _, curves_c, curves_p = A.train(env_c, env_p, tiny_hyperparams(epochs=10),
+                                           N_MAX, scale, seed=7)
+        return curves_c + curves_p
+
+    def test_trains_the_same_without_mallopt(self, monkeypatch):
+        expected = self.curves()
+        opened = []
+
+        def libc_without_mallopt(name):
+            opened.append(name)
+            return types.SimpleNamespace()
+        monkeypatch.setattr(A.ctypes, "CDLL", libc_without_mallopt)
+        assert self.curves() == expected
+        assert opened == [None]
+
+    @pytest.mark.skipif(platform.system() != "Linux"
+                        or platform.libc_ver()[0] != "glibc",
+                        reason="the heap trim threshold is a glibc setting")
+    def test_second_training_call_takes_few_page_faults(self):
+        # A fresh process: the heap of this one depends on earlier tests.
+        script = (
+            "import resource\n"
+            "from edgeslice import harness\n"
+            "from edgeslice.config import build_config\n"
+            "config = build_config({'agent': {'epochs': 16, 'warmup': 64}})\n"
+            "harness.train_agents(config, 1)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "harness.train_agents(config, 2)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+        src = str(Path(A.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=600, check=True,
+                              env=dict(os.environ, PYTHONPATH=path))
+        assert int(done.stdout) < 1000
 
 
 class TestOffloadEnvDecoding:

@@ -68,26 +68,31 @@ def test_training_spans_fire_and_each_batch_is_featurised_once():
         if name.startswith(("agent.", "nn.")):
             assert calls[name] > 0, f"{name} recorded no calls"
 
-    def under_act(i):
+    def under(i, names):
+        i = t.parents[i]
         while i >= 0:
-            if t.names[i] == "agent.act":
+            if t.names[i] in names:
                 return True
             i = t.parents[i]
         return False
 
-    # Spans are recorded in call order.  Each side's update step featurises
-    # its sampled batch once (states) and once (next states) before its
-    # update_critics call; policy rollouts inside act are not counted.
-    pending = updates = 0
-    for i, name in enumerate(t.names):
-        if name == "agent.featurise" and not under_act(i):
-            pending += 1
-        elif name == "agent.update_critics":
-            assert pending <= 2, f"{pending} featurisations in one update step"
-            pending = 0
-            updates += 1
-    assert pending == 0
-    assert updates > 20
+    # Every observation a training env returns is featurised once and
+    # stored; an eval episode featurises, inside act, each observation it
+    # acts on, one per eval step.  Nothing featurises a sampled batch.
+    spans = list(enumerate(t.names))
+    training_obs = sum(name in ("scenario.env_reset", "scenario.env_step")
+                       and not under(i, ("agent.eval_episode",))
+                       for i, name in spans)
+    eval_steps = sum(name == "scenario.env_step"
+                     and under(i, ("agent.eval_episode",)) for i, name in spans)
+    featurised = [i for i, name in spans if name == "agent.featurise"]
+    in_act = sum(under(i, ("agent.act",)) for i in featurised)
+    assert len(featurised) - in_act == training_obs
+    assert in_act == eval_steps
+    updates = ("agent.td_target", "agent.update_critics", "agent.update_actor",
+               "agent.distill", "agent.value_estimate")
+    assert not any(under(i, updates) for i in featurised)
+    assert calls["agent.update_critics"] > 20
 
 
 def test_suite_runs_blas_on_one_thread():
