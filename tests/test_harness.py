@@ -721,6 +721,78 @@ class TestCompare:
         assert calls["adjust_slices"] == cfg.horizon * len(seeds) * predictors
 
 
+class TestPipelineBytes:
+    """The whole sliceoff pipeline at a small config: `train_all` (30 agent
+    epochs, 3 forecaster epochs), then `compare` of the hybrid sliceoff
+    policy on the forecaster's plan beside greedy on persistence's."""
+
+    POLICIES, SEEDS = ["sliceoff", "greedy"], [0, 1]
+
+    @staticmethod
+    def config():
+        doc = small_doc(horizon=8)
+        doc["agent"] = dict(doc["agent"], epochs=30)
+        doc["forecaster"] = dict(doc["forecaster"], epochs=3)
+        return build_config(doc)
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("pipeline") / "train"
+        harness.train_all(self.config(), out, seed=0)
+        return out
+
+    def compare_sha256(self, train_dir, out, flip=None):
+        """sha256 of the compare tree under ``out``, run on the checkpoints
+        under ``train_dir``; ``flip`` names one of (checkpoint name, array
+        name) to run with one bit of that array's first entry flipped: its
+        lowest exponent bit, which doubles or halves the value."""
+        paths = {name: os.path.join(train_dir, f"{name}.ckpt")
+                 for name in ("agent_current", "agent_peer", "forecaster")}
+        if flip is not None:
+            name, array = flip
+            arrays, meta = checkpoint.load_arrays(paths[name])
+            flat = arrays[array].reshape(-1)
+            bits = flat.view(np.uint32 if flat.dtype == np.float32 else np.uint64)
+            bits[0] ^= 1 << np.finfo(flat.dtype).nmant
+            os.makedirs(out)
+            paths[name] = os.path.join(out, f"{name}.ckpt")
+            checkpoint.save_arrays(paths[name], arrays, meta)
+        harness.compare(self.config(), self.POLICIES, self.SEEDS,
+                        os.path.join(out, "compare"),
+                        agent_bundle=agent.load_agent(paths["agent_current"]),
+                        peer_bundle=agent.load_agent(paths["agent_peer"]),
+                        forecaster=ForecastModel.load(paths["forecaster"]))
+        return tree_sha256(os.path.join(out, "compare"))
+
+    def test_golden_pipeline_bytes(self, trained, tmp_path):
+        # sha256 of the training tree (checkpoints, curves, loss trace) and
+        # of the compare tree.  Like the other golden hashes, the last bits
+        # depend on the BLAS kernel; change them only with a stated reason.
+        assert (tree_sha256(trained), self.compare_sha256(trained, tmp_path)) == (
+            "5f10b66b3d54ce94a9fd4aeb3aa6d2434d1cb72ed313ba4a29a469f9024f2c06",
+            "fb56311f3f0d7fa47ecb16d604473ede2e9c69f3ae08e03c68691b13a16d6c4b")
+
+    def test_flipped_plan_bit_moves_the_bytes(self, trained, tmp_path, monkeypatch):
+        expected = self.compare_sha256(trained, tmp_path / "a")
+        planned = harness.slice_plan
+
+        def flipped(config, seed, scenario, forecaster=None):
+            plan = planned(config, seed, scenario, forecaster)
+            if forecaster is None:
+                return plan
+            last = plan[-1]
+            return plan[:-1] + (replace(last, bw=(last.bw[0] ^ 1,) + last.bw[1:]),)
+        monkeypatch.setattr(harness, "slice_plan", flipped)
+        assert self.compare_sha256(trained, tmp_path / "b") != expected
+
+    @pytest.mark.parametrize("flip", [
+        ("agent_current", "actor.w0"), ("agent_peer", "actor.w0"),
+        ("forecaster", "norm_mean")])
+    def test_flipped_checkpoint_bit_moves_the_bytes(self, trained, tmp_path, flip):
+        assert (self.compare_sha256(trained, tmp_path / "b", flip)
+                != self.compare_sha256(trained, tmp_path / "a"))
+
+
 class TestOracleChecks:
     def test_all_checks_pass_on_defaults(self):
         cfg = build_config(small_doc())
