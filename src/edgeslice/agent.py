@@ -14,10 +14,15 @@ fraction and no score.
 
 The six nets (actor, twin critics and their targets) hold float32
 parameters and Adam moments, and their feature rows are float32; the
-observations, actions, rewards and value estimates stay float64.  The
-replay ring stores each observation's feature rows, featurised once when
-the environment returned it.  A checkpoint's nets load from float32 or
-float64 arrays and are cast to float32.
+observations, actions, rewards and value estimates stay float64.  A
+checkpoint's nets load from float32 or float64 arrays and are cast to
+float32.
+
+The nets take one input kind, a `_Features` holder of featurised
+observations.  Raw observations enter only through `act` and
+`hybrid_policy`, each featurising once with `_TaskBlock._state_rows`.
+Training featurises each observation when the environment returns it and
+the replay ring stores its rows, so every update function takes holders.
 
 Two peer agents explore the allocation problem from differently seeded
 environments.  Each runs clipped-noise target smoothing, a min-of-two-target
@@ -159,15 +164,14 @@ class ReplayBuffer:
     one-observation `_Features` holder's slot rows (the nets' dtype; slots
     past the user count are never read), its float64 need column and its
     user count.  At ``n_max`` 10 with float32 nets that is 1,544 bytes per
-    transition, against 1,432 for two raw float64 observations.  `sample`
-    gathers the occupied rows of each half into a `_Features` holder built
-    for ``config`` (a block's `config`), so an update step featurises
-    nothing; the holders carry no raw observations."""
+    transition, against 1,432 for two raw float64 observations.  ``dtype``
+    is the rows' dtype, the nets'.  `sample` gathers the occupied rows of
+    each half into a `_Features` holder, so an update step featurises
+    nothing."""
 
-    def __init__(self, capacity: int, config: tuple):
-        n_max, _, dtype = config
+    def __init__(self, capacity: int, n_max: int, dtype):
         self.capacity = capacity
-        self.config = config
+        self.n_max = n_max
         # Axis 0 is the half: 0 the observation acted on, 1 the next one.
         self.rows = np.zeros((2, capacity * n_max, _STATE_COLS), dtype)
         self.need = np.zeros((2, capacity * n_max))
@@ -182,7 +186,7 @@ class ReplayBuffer:
 
     def push(self, s: "_Features", a, r, s2: "_Features") -> None:
         i = self._write
-        start = i * self.config[0]
+        start = i * self.n_max
         for half, feats in enumerate((s, s2)):
             users = feats.valid.size
             self.rows[half, start:start + users] = feats.rows
@@ -201,14 +205,14 @@ class ReplayBuffer:
                 self._gather(1, idx))
 
     def _gather(self, half: int, idx: np.ndarray) -> "_Features":
-        n_max = self.config[0]
+        n_max = self.n_max
         users = self.users[half].take(idx)
         valid = np.flatnonzero(np.arange(n_max) < users[:, None])
         # Slot j of sample s is valid entry s * n_max + j; it is stored at
         # row idx[s] * n_max + j.
         stored = valid + np.repeat((idx - np.arange(idx.size)) * n_max, users)
         return _Features(valid, self.rows[half].take(stored, axis=0),
-                         self.need[half].take(stored), idx.size, self.config)
+                         self.need[half].take(stored), idx.size)
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +257,13 @@ _TAIL_CAPS = np.array([np.inf, _SHARE_CAP, _SHARE_CAP, 4.0])
 
 @dataclass(eq=False)
 class _Features:
-    """One batch of observations featurised for a block configuration.
+    """One batch of K observations featurised: the only input the actor and
+    critic nets take.
 
     Built by `_TaskBlock._state_rows`, or gathered from stored rows by
     `ReplayBuffer.sample`, and shared by every actor and critic pass over
-    the batch.  In training each observation is featurised once, when the
-    environment returns it: `act` runs on that one-observation holder and
-    the replay ring stores its rows.  Only occupied task slots get a row:
+    the batch, of this agent or of a peer with the same ``n_max`` and state
+    scale.  It keeps no raw observations.  Only occupied task slots get a row:
     the nets never see a padded slot.  ``valid`` lists the occupied slots
     as flat indices into the (K, n_max) slot grid, in row order.  The
     critic's action-dependent rows are memoised for the last ``actions``
@@ -270,8 +274,6 @@ class _Features:
     rows: np.ndarray       # (V, _STATE_COLS) state features of occupied slots
     need: np.ndarray       # (V,) minimal bandwidth share at the placement
     k: int
-    config: tuple          # (n_max, state_scale, rows' dtype) it was built for
-    states: np.ndarray | None = None  # (K, state_dim) raw observations, if kept
     actions: np.ndarray | None = None
     critic_rows: tuple | None = None
 
@@ -330,30 +332,7 @@ class _TaskBlock:
                                      kind="stable"), axis=1, kind="stable")
         rows[:, 11] = rank.ravel()[valid] / n               # cheapness rank
         np.minimum(own[:, 4:], _TAIL_CAPS, out=rows[:, 12:])
-        return _Features(valid, rows.astype(self.net.dtype), rows[:, 8], k,
-                         self.config, states)
-
-    @property
-    def config(self) -> tuple:
-        """(n_max, state scale, rows' dtype): what a `_Features` holder
-        built for this block records."""
-        return self.n_max, self.state_scale, self.net.dtype
-
-    def _features(self, states) -> _Features:
-        """``states`` as features for this block: a holder built for the same
-        n_max, scale and dtype is reused, anything else featurised.  A
-        replay sample keeps no raw observations, so it must fit the block."""
-        if not isinstance(states, _Features):
-            return self._state_rows(states)
-        n_max, scale, dtype = states.config
-        if (n_max == self.n_max and dtype == self.net.dtype
-                and (scale is self.state_scale
-                     or np.array_equal(scale, self.state_scale))):
-            return states
-        if states.states is None:
-            raise ValueError("a replay sample built for another n_max, state "
-                             "scale or dtype cannot be featurised again")
-        return self._state_rows(states.states)
+        return _Features(valid, rows.astype(self.net.dtype), rows[:, 8], k)
 
 
 class TaskBlockActor(_TaskBlock):
@@ -366,16 +345,11 @@ class TaskBlockActor(_TaskBlock):
         return TaskBlockActor(self.net.copy(), self.n_max, self.state_scale,
                               self.frequency)
 
-    def forward(self, states, return_cache: bool = False):
-        """``states``: raw observations, (state_dim,) or (K, state_dim), or
-        a `_Features` holder of K rows."""
-        single = not isinstance(states, _Features) and np.asarray(states).ndim == 1
-        feats = self._features(states)
+    def forward(self, feats: _Features, return_cache: bool = False):
+        """The (K, n_max) actions of a holder of K observations."""
         out, cache = self.net.forward(feats.rows, return_cache=True)
         actions = np.zeros((feats.k, self.n_max))
         actions.reshape(-1)[feats.valid] = out[:, 0]
-        if single:
-            actions = actions[0]
         if return_cache:
             return actions, {"net": cache, "valid": feats.valid}
         return actions
@@ -427,10 +401,11 @@ class TaskBlockCritic(_TaskBlock):
         feats.actions, feats.critic_rows = actions, (rows, aux)
         return rows, aux
 
-    def forward(self, states, actions, return_cache: bool = False):
-        """``states``: raw observations or a `_Features` holder; ``actions``
-        must not be changed in place while a holder memoises it."""
-        rows, aux = self._rows(self._features(states), actions)
+    def forward(self, feats: _Features, actions, return_cache: bool = False):
+        """The K values of a holder of K observations at (K, n_max)
+        ``actions``, which must not be changed in place while the holder
+        memoises them."""
+        rows, aux = self._rows(feats, actions)
         out, cache = self.net.forward(rows, return_cache=True)
         values = np.bincount(aux["sample"], out[:, 0], minlength=aux["k"])
         if return_cache:
@@ -527,18 +502,18 @@ def make_agent(n_max: int, state_scale: np.ndarray, frequency: float,
 # ---------------------------------------------------------------------------
 
 def act(agent: AgentBundle, state, explore: bool,
-        rng: np.random.Generator | None = None, clip: bool = True) -> np.ndarray:
+        rng: np.random.Generator | None = None) -> np.ndarray:
     """Deterministic policy output, plus Gaussian exploration noise when
-    exploring; clipped back to the unit box unless clip=False.  ``state``
-    is one raw observation or a `_Features` holder of one."""
-    a = agent.actor.forward(state)
-    if isinstance(state, _Features):
-        a = a[0]
+    exploring, clipped back to the unit box.  ``state`` is one raw
+    observation, featurised here, or a `_Features` holder of one."""
+    if not isinstance(state, _Features):
+        state = agent.actor._state_rows(state)
+    a = agent.actor.forward(state)[0]
     if explore:
         if rng is None:
             raise ValueError("exploration requires an rng")
         a += rng.normal(0.0, agent.noise_scale, size=a.shape)
-    return np.clip(a, 0.0, 1.0) if clip else a
+    return np.clip(a, 0.0, 1.0)
 
 
 def td_target(agent: AgentBundle, batch, gamma: float, smooth_std: float,
@@ -546,10 +521,9 @@ def td_target(agent: AgentBundle, batch, gamma: float, smooth_std: float,
     """Backup values: reward plus the discounted minimum of the two target
     critics at the smoothed target action (clipped noise added to it).
 
-    ``batch`` is (states, actions, rewards, next_states); either state half
-    may be raw observations or a `_Features` holder."""
+    ``batch`` is (states, actions, rewards, next_states), each state half
+    a `_Features` holder."""
     _, _, rewards, next_states = batch
-    next_states = agent.target_actor._features(next_states)
     a2 = agent.target_actor.forward(next_states)
     a2 += np.clip(rng.normal(0.0, smooth_std, size=a2.shape),
                   -smooth_clip, smooth_clip)
@@ -563,7 +537,6 @@ def update_critics(agent: AgentBundle, batch, targets: np.ndarray,
                    lr: float) -> tuple:
     """One squared-error regression step per critic toward fixed targets."""
     states, actions, _, _ = batch
-    states = agent.critic1._features(states)
     k = states.k
     losses = []
     for critic in (agent.critic1, agent.critic2):
@@ -585,7 +558,7 @@ def update_actor(agent: AgentBundle, batch, actor_lr: float, tau: float) -> bool
     Returns whether the update was applied."""
     if agent.step_count % 2 != 0:
         return False
-    states = agent.actor._features(batch[0])
+    states = batch[0]
     k = states.k
     actions, actor_cache = agent.actor.forward(states, return_cache=True)
     _, critic_cache = agent.critic1.forward(states, actions, return_cache=True)
@@ -607,10 +580,9 @@ def _twin_value(agent: AgentBundle, feats: _Features, actions) -> np.ndarray:
     return np.minimum(q1, q2)
 
 
-def value_estimate(agent: AgentBundle, states) -> np.ndarray:
+def value_estimate(agent: AgentBundle, feats: _Features) -> np.ndarray:
     """Twin-critic value of the agent's own deterministic action: the
     elementwise minimum of the two online critics."""
-    feats = agent.actor._features(states)
     return _twin_value(agent, feats, agent.actor.forward(feats))
 
 
@@ -633,7 +605,7 @@ def distill(current: AgentBundle, peer: AgentBundle, batch,
     The regression covers occupied task slots only: both actors output 0 on
     padded slots, so those entries add nothing to the loss or its
     gradient."""
-    feats = current.actor._features(batch[0])
+    feats = batch[0]
     k = feats.k
     # Each actor runs once: its action is both the one its twin critics
     # value and, for the peer, the regression target.
@@ -656,8 +628,10 @@ def hybrid_policy(current: AgentBundle, peer: AgentBundle,
                   state: np.ndarray) -> np.ndarray:
     """State-wise selector between the two deterministic policies: follow
     whichever agent's twin-critic value is higher (the peer on a strictly
-    positive peer advantage).  One featurisation, one pass per actor."""
-    feats = current.actor._features(state)
+    positive peer advantage).  ``state`` is one raw observation; one
+    featurisation serves both agents, which must share ``n_max`` and state
+    scale (`harness.make_policy` checks), and each actor runs once."""
+    feats = current.actor._state_rows(state)
     a_peer, a_current = peer.actor.forward(feats), current.actor.forward(feats)
     xi = _twin_value(peer, feats, a_peer) - _twin_value(current, feats, a_current)
     return np.clip(a_peer[0] if xi[0] > 0 else a_current[0], 0.0, 1.0)
@@ -695,8 +669,9 @@ def load_agent(path) -> AgentBundle:
     """Read an agent checkpoint.  Float32 or float64 arrays load (float64
     nets, as older checkpoints store them, are cast to float32); any other
     dtype, a non-finite value or a shape the checkpoint's own metadata does
-    not build raises CheckpointError naming the array, and malformed
-    metadata raises it naming the field."""
+    not build raises CheckpointError naming the array, as does a state
+    scale divisor <= 0, and malformed metadata raises it naming the
+    field."""
     arrays, meta = checkpoint.load_arrays(path)
     if meta.get("format") != "agent":
         raise CheckpointError(f"{path}: not an agent checkpoint")
@@ -708,6 +683,9 @@ def load_agent(path) -> AgentBundle:
                                   f"integer >= 1, got {n_max!r}")
         frequency = meta["frequency"]
         checkpoint.check_array(path, "state_scale", scale, (4 + _SLOT_COLS,))
+        if not (scale > 0).all():
+            raise CheckpointError(f"{path}: array 'state_scale' holds a divisor "
+                                  f"<= 0: {scale.tolist()}")
         scale = scale.astype(float)
         if not isinstance(meta["nets"], dict):
             raise CheckpointError(f"{path}: metadata field 'nets' must be an object")
@@ -837,7 +815,8 @@ def train(env_current, env_peer, hp: AgentHyperparams, n_max: int,
         # A ring sized to hold them all never wraps, so it samples as a
         # larger one would.
         pushes = hp.epochs * max(1, env.episode_slots)
-        buffer = ReplayBuffer(min(hp.buffer_capacity, pushes), agent.actor.config)
+        buffer = ReplayBuffer(min(hp.buffer_capacity, pushes), n_max,
+                              agent.actor.net.dtype)
         sides.append(_Side(agent=agent, env=env, buffer=buffer,
                            noise_rng=keys[2 + idx], sample_rng=keys[4 + idx],
                            smooth_rng=keys[6 + idx]))

@@ -352,7 +352,8 @@ class ForecastModel:
     def load(cls, path) -> "ForecastModel":
         """Read a checkpoint, checking every stored array against the shape
         its header's configuration builds before any parameter is made, so
-        a header naming a huge width costs no memory."""
+        a header naming a huge width costs no memory.  A ``norm_std`` <= 0
+        is refused: `fit` stores at least 1e-6."""
         arrays, meta = checkpoint.load_arrays(path)
         if meta.get("format") != cls.FORMAT:
             raise CheckpointError(f"{path}: not a forecaster checkpoint")
@@ -370,6 +371,9 @@ class ForecastModel:
             raise CheckpointError(f"{path}: forecaster checkpoint lacks {missing}")
         for name, shape in shapes.items():
             checkpoint.check_array(path, name, arrays[name], shape)
+        if not arrays["norm_std"] > 0:
+            raise CheckpointError(f"{path}: array 'norm_std' must be > 0, got "
+                                  f"{float(arrays['norm_std'])!r}")
         model = cls.__new__(cls)
         model.config, model.adam = config, AdamState()
         # Trainable arrays load as float32 (older checkpoints store float64);

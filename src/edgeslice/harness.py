@@ -150,9 +150,11 @@ def make_policy(tag: str, config: Config, rng: np.random.Generator,
     """Bind a policy tag to a callable RegionState -> AllocationAction.
 
     With a peer bundle, ``sliceoff`` follows the hybrid policy: per state,
-    the agent whose twin critics value its own action higher.  A policy that
-    cannot serve the config's ``n_max`` users per region (an agent padded to
-    fewer, or ``oracle`` above `baselines.ENUMERATION_BOUND`) is refused."""
+    the agent whose twin critics value its own action higher.  Both agents
+    run on one featurisation of the state, so a peer of another ``n_max``
+    or state scale is refused.  A policy that cannot serve the config's
+    ``n_max`` users per region (an agent padded to fewer, or ``oracle``
+    above `baselines.ENUMERATION_BOUND`) is refused too."""
     # Read at call time, not import time, so wrapped module attributes
     # (perfbench's tracer) take effect.
     packers = {"greedy": baselines.greedy_policy,
@@ -174,6 +176,11 @@ def make_policy(tag: str, config: Config, rng: np.random.Generator,
             raise ConfigError(
                 f"peer agent pads to n_max={peer_bundle.n_max}, "
                 f"the agent to n_max={agent_bundle.n_max}")
+        if peer_bundle is not None and not np.array_equal(
+                peer_bundle.state_scale, agent_bundle.state_scale):
+            raise ConfigError(
+                f"peer agent's state_scale {peer_bundle.state_scale.tolist()} "
+                f"differs from the agent's {agent_bundle.state_scale.tolist()}")
         if agent_bundle.n_max < config.n_max:
             raise ConfigError(
                 f"agent pads to n_max={agent_bundle.n_max}, below the "

@@ -316,9 +316,8 @@ def test_td3_mechanics():
     agent = default_agent()
     set_constant_output(agent.target_critic1.net, 3.0)
     set_constant_output(agent.target_critic2.net, 5.0)
-    s = single_task_state()
-    batch = (s[None, :], np.zeros((1, 4)), np.array([1.0]),
-             s[None, :])
+    s = agent.actor._state_rows(single_task_state())
+    batch = (s, np.zeros((1, 4)), np.array([1.0]), s)
     y = A.td_target(agent, batch, gamma=0.9, smooth_std=0.1, smooth_clip=0.25,
                     rng=np.random.default_rng(0))
     min_ok = abs(y[0] - 3.7) < 1e-12
@@ -334,7 +333,7 @@ def test_td3_mechanics():
     agent = default_agent()
     agent.step_count = 1
     before = {k: v.copy() for k, v in agent.actor.params.items()}
-    applied = A.update_actor(agent, make_batch(4, np.random.default_rng(2)),
+    applied = A.update_actor(agent, make_batch(agent, 4, np.random.default_rng(2)),
                              1e-3, 0.5)
     delay_ok = (applied is False and
                 all(np.array_equal(before[k], agent.actor.params[k])

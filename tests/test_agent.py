@@ -60,12 +60,15 @@ def states_with_counts(counts, rng):
                      for n in counts])
 
 
-def make_batch(k, rng, n_max=N_MAX):
+def make_batch(agent, k, rng, n_max=N_MAX):
+    """A (states, actions, rewards, next states) batch of realistic
+    observations, each state half featurised by the agent's actor."""
     states = make_states(k, rng, n_max)
     actions = rng.uniform(0, 1, size=(k, n_max))
     rewards = rng.uniform(0, 2, size=k)
     next_states = make_states(k, rng, n_max)
-    return states, actions, rewards, next_states
+    return (agent.actor._state_rows(states), actions, rewards,
+            agent.actor._state_rows(next_states))
 
 
 def default_agent(rng=None, hidden=(16, 16)):
@@ -197,15 +200,17 @@ class TestAct:
                            A.act(agent, s, False))
 
     def test_exploration_mean_matches_deterministic_preclamp(self):
+        # Exactly: the noise is the seeded normal draw, centred on the
+        # deterministic pre-clamp output, and the sum is clipped.
         agent = default_agent()
         agent.noise_scale = 0.2
         s = single_task_state()
-        det = A.act(agent, s, explore=False)
-        rng = np.random.default_rng(1)
-        draws = np.stack([A.act(agent, s, True, rng, clip=False)
-                          for _ in range(1000)])
-        se = 0.2 / np.sqrt(1000)
-        assert np.all(np.abs(draws.mean(axis=0) - det) <= 3 * se)
+        det = agent.actor.forward(agent.actor._state_rows(s))[0]
+        drawn, expected = np.random.default_rng(1), np.random.default_rng(1)
+        for _ in range(50):
+            noise = expected.normal(0.0, 0.2, size=N_MAX)
+            assert np.array_equal(A.act(agent, s, True, drawn),
+                                  np.clip(det + noise, 0.0, 1.0))
 
     def test_clipped_to_unit_box(self):
         agent = default_agent()
@@ -230,7 +235,7 @@ class TestReplayBuffer:
         obs = [A.encode_state(random_region(counts[i % len(counts)], rng),
                               RADIO, ECON, n_max) for i in range(pushes + 1)]
         states, next_states = np.array(obs[:-1]), np.array(obs[1:])
-        buf = A.ReplayBuffer(capacity, agent.actor.config)
+        buf = A.ReplayBuffer(capacity, n_max, agent.actor.net.dtype)
         for i in range(pushes):
             buf.push(agent.actor._state_rows(states[i]), np.full(n_max, i / pushes),
                      float(i), agent.actor._state_rows(next_states[i]))
@@ -269,7 +274,7 @@ class TestReplayBuffer:
         # into 12 slots overwrite rows of other user counts.
         buf, agent, states, next_states = self.filled(
             12, 20, n_max, counts=[0, n_max, 1, n_max - 1, 0, 2, n_max], seed=n_max)
-        s, _, r, s2 = buf.sample(np.random.default_rng(6), 64)
+        s, actions, r, s2 = buf.sample(np.random.default_rng(6), 64)
         idx = r.astype(int)
         assert {0, n_max} <= set(states[idx, 2]) and set(idx) == set(range(8, 20))
         for sampled, raw in ((s, states[idx]), (s2, next_states[idx])):
@@ -277,13 +282,15 @@ class TestReplayBuffer:
             padded = padded_state_rows(raw, n_max, agent.state_scale)
             assert np.array_equal(sampled.rows,
                                   padded[sampled.valid].astype(np.float32))
-            assert agent.critic1._features(sampled) is sampled
+            assert np.array_equal(agent.critic1.forward(sampled, actions),
+                                  agent.critic1.forward(agent.actor._state_rows(raw),
+                                                        actions))
 
 
 class TestTdTarget:
     def test_gamma_zero_returns_rewards(self):
         agent = default_agent()
-        batch = make_batch(8, np.random.default_rng(3))
+        batch = make_batch(agent, 8, np.random.default_rng(3))
         y = A.td_target(agent, batch, gamma=0.0, smooth_std=0.1,
                         smooth_clip=0.25, rng=np.random.default_rng(0))
         assert np.allclose(y, batch[2])
@@ -294,9 +301,8 @@ class TestTdTarget:
         agent = default_agent()
         set_constant_output(agent.target_critic1.net, 3.0)
         set_constant_output(agent.target_critic2.net, 5.0)
-        s = single_task_state()
-        batch = (s[None, :], np.zeros((1, N_MAX)),
-                 np.array([1.0]), s[None, :])
+        s = agent.actor._state_rows(single_task_state())
+        batch = (s, np.zeros((1, N_MAX)), np.array([1.0]), s)
         y = A.td_target(agent, batch, gamma=0.9, smooth_std=0.1,
                         smooth_clip=0.25, rng=np.random.default_rng(0))
         assert y[0] == pytest.approx(3.7)
@@ -311,7 +317,7 @@ class TestTdTarget:
         # Enormous noise scale with a tight clip: the smoothed target action
         # stays within the clip band of the target policy's action.
         agent = default_agent()
-        batch = make_batch(64, np.random.default_rng(4))
+        batch = make_batch(agent, 64, np.random.default_rng(4))
         a2 = agent.target_actor.forward(batch[3])
         clip = 0.05
         captured = {}
@@ -338,7 +344,7 @@ class TestUpdateCritics:
     def test_regression_converges_on_fixed_batch(self):
         agent = default_agent()
         rng = np.random.default_rng(5)
-        batch = make_batch(4, rng)
+        batch = make_batch(agent, 4, rng)
         y = np.array([1.0, -0.5, 2.0, 0.25])
         for _ in range(3000):
             A.update_critics(agent, batch, y, lr=1e-3)
@@ -348,7 +354,7 @@ class TestUpdateCritics:
     def test_identical_twins_stay_identical(self):
         agent = default_agent()
         agent.critic2 = agent.critic1.copy()
-        batch = make_batch(8, np.random.default_rng(6))
+        batch = make_batch(agent, 8, np.random.default_rng(6))
         y = np.zeros(8)
         A.update_critics(agent, batch, y, lr=1e-3)
         for k in agent.critic1.params:
@@ -356,7 +362,7 @@ class TestUpdateCritics:
 
     def test_first_step_reduces_loss(self):
         agent = default_agent()
-        batch = make_batch(16, np.random.default_rng(7))
+        batch = make_batch(agent, 16, np.random.default_rng(7))
         y = np.full(16, 3.0)
         before = A.update_critics(agent, batch, y, lr=1e-4)
         after = A.update_critics(agent, batch, y, lr=0.0)
@@ -368,7 +374,7 @@ class TestUpdateActor:
         agent = default_agent()
         agent.step_count = 3
         before = {k: v.copy() for k, v in agent.actor.params.items()}
-        applied = A.update_actor(agent, make_batch(8, np.random.default_rng(8)),
+        applied = A.update_actor(agent, make_batch(agent, 8, np.random.default_rng(8)),
                                  actor_lr=1e-3, tau=0.5)
         assert applied is False
         assert all(np.array_equal(before[k], agent.actor.params[k]) for k in before)
@@ -378,7 +384,7 @@ class TestUpdateActor:
         set_constant_output(agent.critic1.net, 2.0)
         agent.step_count = 0
         before = {k: v.copy() for k, v in agent.actor.params.items()}
-        applied = A.update_actor(agent, make_batch(8, np.random.default_rng(9)),
+        applied = A.update_actor(agent, make_batch(agent, 8, np.random.default_rng(9)),
                                  actor_lr=1e-3, tau=0.0)
         assert applied is True
         assert all(np.allclose(before[k], agent.actor.params[k]) for k in before)
@@ -386,7 +392,7 @@ class TestUpdateActor:
     def test_small_step_does_not_decrease_value(self):
         agent = default_agent()
         rng = np.random.default_rng(10)
-        batch = make_batch(32, rng)
+        batch = make_batch(agent, 32, rng)
         y = rng.normal(size=32)
         for _ in range(200):
             A.update_critics(agent, batch, y, lr=1e-3)
@@ -403,7 +409,7 @@ class TestUpdateActor:
 
     def test_targets_track_on_the_same_schedule(self):
         agent = default_agent()
-        batch = make_batch(8, np.random.default_rng(11))
+        batch = make_batch(agent, 8, np.random.default_rng(11))
         target_before = {k: v.copy() for k, v in agent.target_actor.params.items()}
         agent.step_count = 1
         A.update_actor(agent, batch, actor_lr=1e-3, tau=0.5)
@@ -422,8 +428,9 @@ class TestAdvantage:
 
     @staticmethod
     def gap(peer, current, state):
-        return float(A.value_estimate(peer, state)[0]
-                     - A.value_estimate(current, state)[0])
+        feats = current.actor._state_rows(state)
+        return float(A.value_estimate(peer, feats)[0]
+                     - A.value_estimate(current, feats)[0])
 
     def test_shared_parameters_zero_advantage(self):
         agent = default_agent()
@@ -452,7 +459,7 @@ class TestDistill:
         current = default_agent(np.random.default_rng(5))
         peer = default_agent(np.random.default_rng(6))
         peer.actor = current.actor.copy()
-        batch = make_batch(8, np.random.default_rng(7))
+        batch = make_batch(current, 8, np.random.default_rng(7))
         before = {k: v.copy() for k, v in current.actor.params.items()}
         loss = A.distill(current, peer, batch, lr=1e-2)
         assert loss == pytest.approx(0.0)
@@ -466,7 +473,7 @@ class TestDistill:
             set_constant_output(critic.net, 100.0)
         for critic in (peer.critic1, peer.critic2):
             set_constant_output(critic.net, -100.0)
-        batch = make_batch(8, np.random.default_rng(10))
+        batch = make_batch(current, 8, np.random.default_rng(10))
         before = {k: v.copy() for k, v in current.actor.params.items()}
         A.distill(current, peer, batch, lr=1e-2)
         worst = max(np.max(np.abs(before[k] - current.actor.params[k]))
@@ -480,7 +487,7 @@ class TestDistill:
             set_constant_output(critic.net, 0.0)
         for critic in (peer.critic1, peer.critic2):
             set_constant_output(critic.net, 2.0)
-        batch = make_batch(16, np.random.default_rng(13))
+        batch = make_batch(current, 16, np.random.default_rng(13))
 
         def distance():
             a = current.actor.forward(batch[0])
@@ -547,36 +554,42 @@ class TestHybridPolicy:
 
 
 class TestSharedFeatures:
-    """A batch featurised once gives the same bits as raw observations."""
+    """A holder that earlier passes used, with the critic rows they
+    memoised, gives the same bits as a fresh holder of the same
+    observations."""
 
-    def featurised(self, agent, batch):
-        states, actions, rewards, next_states = batch
-        return (agent.actor._state_rows(states), actions, rewards,
-                agent.actor._state_rows(next_states))
+    def batches(self, agent, k, seed):
+        """(fresh, used) batches of the same observations and draws."""
+        fresh, used = (make_batch(agent, k, np.random.default_rng(seed))
+                       for _ in range(2))
+        other = np.random.default_rng(seed + 100)
+        for feats in (used[0], used[3]):
+            A.value_estimate(agent, feats)
+            agent.critic1.forward(feats, other.uniform(0, 1, (k, N_MAX)))
+        return fresh, used
 
     def test_value_estimate_bits(self):
         agent = default_agent(np.random.default_rng(40))
         states = make_states(12, np.random.default_rng(41))
-        feats = agent.actor._state_rows(states)
-        assert np.array_equal(A.value_estimate(agent, states),
+        fresh, feats = agent.actor._state_rows(states), agent.actor._state_rows(states)
+        agent.critic2.forward(feats, np.zeros((12, N_MAX)))
+        assert np.array_equal(A.value_estimate(agent, fresh),
                               A.value_estimate(agent, feats))
 
     def test_td_target_bits(self):
         agent = default_agent(np.random.default_rng(42))
-        batch = make_batch(12, np.random.default_rng(43))
-        raw = A.td_target(agent, batch, 0.9, 0.2, 0.5, np.random.default_rng(44))
-        shared = A.td_target(agent, self.featurised(agent, batch), 0.9, 0.2, 0.5,
-                             np.random.default_rng(44))
+        fresh, used = self.batches(agent, 12, 43)
+        raw = A.td_target(agent, fresh, 0.9, 0.2, 0.5, np.random.default_rng(44))
+        shared = A.td_target(agent, used, 0.9, 0.2, 0.5, np.random.default_rng(44))
         assert np.array_equal(raw, shared)
 
     def test_update_critics_step_bits(self):
-        batch = make_batch(12, np.random.default_rng(45))
         targets = np.random.default_rng(46).normal(size=12)
         a = default_agent(np.random.default_rng(47))
         b = default_agent(np.random.default_rng(47))
+        batch, used = self.batches(b, 12, 45)
         losses_raw = A.update_critics(a, batch, targets, lr=1e-3)
-        losses_shared = A.update_critics(b, self.featurised(b, batch), targets,
-                                         lr=1e-3)
+        losses_shared = A.update_critics(b, used, targets, lr=1e-3)
         assert losses_raw == losses_shared
         for name in ("critic1", "critic2"):
             pa, pb = getattr(a, name).params, getattr(b, name).params
@@ -584,7 +597,7 @@ class TestSharedFeatures:
 
     def test_critic_backward_without_action_gradient(self):
         agent = default_agent(np.random.default_rng(56))
-        batch = make_batch(12, np.random.default_rng(57))
+        batch = make_batch(agent, 12, np.random.default_rng(57))
         d_values = np.random.default_rng(58).normal(size=12)
         results = []
         for action_grad in (True, False):
@@ -596,25 +609,15 @@ class TestSharedFeatures:
         assert all(np.array_equal(grads[k], skipped[k]) for k in grads)
 
     def test_distill_bits(self):
-        batch = make_batch(12, np.random.default_rng(48))
         peer = default_agent(np.random.default_rng(49))
         a = default_agent(np.random.default_rng(50))
         b = default_agent(np.random.default_rng(50))
+        batch, used = self.batches(b, 12, 48)
         loss_raw = A.distill(a, peer, batch, lr=1e-2)
-        loss_shared = A.distill(b, peer, self.featurised(b, batch), lr=1e-2)
+        loss_shared = A.distill(b, peer, used, lr=1e-2)
         assert loss_raw == loss_shared
         assert all(np.array_equal(a.actor.params[k], b.actor.params[k])
                    for k in a.actor.params)
-
-    def test_holder_of_another_scale_is_refeaturised(self):
-        current = default_agent(np.random.default_rng(53))
-        peer = default_agent(np.random.default_rng(54))
-        for block in (peer.actor, peer.critic1, peer.critic2):
-            block.state_scale = block.state_scale * 2.0
-        states = make_states(6, np.random.default_rng(55))
-        feats = current.actor._state_rows(states)
-        assert np.array_equal(A.value_estimate(peer, feats),
-                              A.value_estimate(peer, states))
 
     def test_critic_rows_follow_new_actions(self):
         agent = default_agent(np.random.default_rng(51))
@@ -625,7 +628,8 @@ class TestSharedFeatures:
             actions = rng.uniform(0, 1, size=(6, N_MAX))
             for critic in (agent.critic1, agent.critic2):
                 assert np.array_equal(critic.forward(feats, actions),
-                                      critic.forward(states, actions))
+                                      critic.forward(agent.actor._state_rows(states),
+                                                     actions))
 
 
 class TestGradientsThroughBlocks:
@@ -635,12 +639,14 @@ class TestGradientsThroughBlocks:
         states = make_states(3, rng)
         actions = rng.uniform(0.05, 0.45, size=(3, N_MAX))
         critic = agent.critic1
+        feats = critic._state_rows(states)
         dv = rng.normal(size=3)
-        _, cache = critic.forward(states, actions, return_cache=True)
+        _, cache = critic.forward(feats, actions, return_cache=True)
         _, d_actions = critic.backward(cache, dv)
 
         def loss():
-            return float(critic.forward(states, actions) @ dv)
+            # A copy: the holder memoises its rows for the last actions array.
+            return float(critic.forward(feats, actions.copy()) @ dv)
 
         h = 1e-6
         for k in range(3):
@@ -658,13 +664,13 @@ class TestGradientsThroughBlocks:
     def test_actor_parameter_gradients_match_finite_differences(self):
         rng = np.random.default_rng(22)
         agent = float64_copy(default_agent(rng, hidden=(6,)))
-        states = make_states(4, rng)
+        feats = agent.actor._state_rows(make_states(4, rng))
         upstream = rng.normal(size=(4, N_MAX))
-        out, cache = agent.actor.forward(states, return_cache=True)
+        out, cache = agent.actor.forward(feats, return_cache=True)
         grads = agent.actor.backward(cache, upstream)
 
         def loss():
-            return float((agent.actor.forward(states) * upstream).sum())
+            return float((agent.actor.forward(feats) * upstream).sum())
 
         h = 1e-6
         for name, p in agent.actor.params.items():
@@ -992,22 +998,22 @@ class TestOccupiedSlots:
                "full": [N_MAX] * 4, "mixed": [2, 0, N_MAX, 1, 3]}
 
     def padded(self, block, states, rng):
-        """(mask, need, padded state rows) of a batch: occupied rows are the
-        block's features, padded rows noise."""
+        """(holder, mask, need, padded state rows) of a batch: occupied rows
+        are the block's features, padded rows noise."""
         feats = block._state_rows(states)
         mask = occupancy(states)
         assert np.array_equal(feats.valid, np.flatnonzero(mask))
         rows = rng.normal(size=(mask.size, A._STATE_COLS))
         rows[mask.ravel() > 0] = feats.rows
-        return mask, A.slot_table(states, N_MAX)[:, :, NEED], rows
+        return feats, mask, A.slot_table(states, N_MAX)[:, :, NEED], rows
 
     @pytest.mark.parametrize("counts", BATCHES.values(), ids=BATCHES.keys())
     def test_actor_matches_padded_reference(self, counts):
         rng = np.random.default_rng(70)
         actor = float64_copy(default_agent(rng)).actor
         states = states_with_counts(counts, rng)
-        mask, _, rows = self.padded(actor, states, rng)
-        actions, cache = actor.forward(states, return_cache=True)
+        feats, mask, _, rows = self.padded(actor, states, rng)
+        actions, cache = actor.forward(feats, return_cache=True)
         out, ref_cache = actor.net.forward(rows, return_cache=True)
         occupied = mask > 0
         assert actions.shape == mask.shape
@@ -1027,12 +1033,12 @@ class TestOccupiedSlots:
         rng = np.random.default_rng(71)
         critic = float64_copy(default_agent(rng)).critic1
         states = states_with_counts(counts, rng)
-        mask, need, state_rows = self.padded(critic, states, rng)
+        feats, mask, need, state_rows = self.padded(critic, states, rng)
         k = len(counts)
         # Over-committed samples exercise the margin's 1/S^2 term.
         actions = rng.uniform(0.0, 0.8, size=(k, N_MAX))
         d_values = rng.normal(size=k)
-        values, cache = critic.forward(states, actions, return_cache=True)
+        values, cache = critic.forward(feats, actions, return_cache=True)
         grads, d_actions = critic.backward(cache, d_values)
 
         fractions = actions * mask
@@ -1097,7 +1103,7 @@ class TestOccupiedSlots:
             return dict(seen)
 
         current.actor.backward = spy
-        loss = A.distill(current, peer, (states, None, None, None), lr=1e-2)
+        loss = A.distill(current, peer, (feats, None, None, None), lr=1e-2)
         assert loss == pytest.approx(ref_loss, rel=1e-12)
         for name in ref_grads:
             np.testing.assert_allclose(seen[name], ref_grads[name], rtol=1e-10,
@@ -1166,14 +1172,6 @@ class TestSinglePrecision:
         assert np.array_equal(feats.need,
                               A.slot_table(states, n_max)[:, :, NEED].ravel()[valid])
 
-    def test_holder_of_another_dtype_is_refeaturised(self):
-        agent = default_agent(np.random.default_rng(81))
-        double = float64_copy(agent)
-        states = make_states(6, np.random.default_rng(82))
-        feats = agent.actor._state_rows(states)
-        assert double.actor._features(feats).rows.dtype == np.float64
-        assert agent.actor._features(feats) is feats
-
     def test_agrees_with_float64_copy(self):
         rng = np.random.default_rng(83)
         single = default_agent(rng, hidden=(64, 64))
@@ -1186,8 +1184,9 @@ class TestSinglePrecision:
         d_values = rng.normal(size=len(states))
         results = []
         for agent in (single, double):
-            out, actor_cache = agent.actor.forward(states, return_cache=True)
-            q, critic_cache = agent.critic1.forward(states, actions, return_cache=True)
+            feats = agent.actor._state_rows(states)
+            out, actor_cache = agent.actor.forward(feats, return_cache=True)
+            q, critic_cache = agent.critic1.forward(feats, actions, return_cache=True)
             actor_grads = agent.actor.backward(actor_cache, upstream)
             critic_grads, d_actions = agent.critic1.backward(critic_cache, d_values)
             results.append((out, q, actor_grads, critic_grads, d_actions))

@@ -351,8 +351,10 @@ class TestRun:
             harness.run(cfg, "sliceoff", seed=0)
 
     @staticmethod
-    def small_agent(cfg, seed, n_max=None):
-        return agent.make_agent(n_max or cfg.n_max, harness.default_state_scale(cfg),
+    def small_agent(cfg, seed, n_max=None, scale=1.0):
+        """A fresh agent; ``scale`` multiplies the config's state scale."""
+        return agent.make_agent(n_max or cfg.n_max,
+                                harness.default_state_scale(cfg) * scale,
                                 hidden=tuple(cfg.agent.hidden),
                                 rng=np.random.default_rng(seed),
                                 frequency=cfg.vm_frequency)
@@ -375,11 +377,17 @@ class TestRun:
         assert hybrid != rows(agent_bundle=current)
 
     def test_peer_with_other_n_max_rejected(self):
+        # Both agents run on one featurisation, so the peer must match the
+        # agent's n_max and state scale.
         cfg = build_config(small_doc())
         with pytest.raises(ConfigError, match="n_max"):
             harness.run(cfg, "sliceoff", seed=0,
                         agent_bundle=self.small_agent(cfg, 1),
                         peer_bundle=self.small_agent(cfg, 2, n_max=cfg.n_max + 1))
+        with pytest.raises(ConfigError, match="state_scale"):
+            harness.run(cfg, "sliceoff", seed=0,
+                        agent_bundle=self.small_agent(cfg, 1),
+                        peer_bundle=self.small_agent(cfg, 2, scale=2.0))
 
     # Every policy tag; sliceoff alone, with a forecaster and with a peer.
     SHARED_CASES = [(tag, ()) for tag in harness.POLICY_TAGS if tag != "sliceoff"] + [
@@ -675,16 +683,18 @@ class TestCompare:
             header = next(csv.reader(fh))
         assert tuple(header) == ("policy",) + metrics
 
-    @pytest.mark.parametrize("policies,peer_n_max", [
+    @pytest.mark.parametrize("policies,peer", [
         (["greedy", "bogus"], None), (["greedy", "sliceoff"], None),
-        (["greedy", "sliceoff"], 7)],
-        ids=["unknown_tag", "sliceoff_without_agent", "peer_of_other_n_max"])
-    def test_bad_grid_refused_before_writing(self, tmp_path, policies, peer_n_max):
+        (["greedy", "sliceoff"], {"n_max": 7}),
+        (["greedy", "sliceoff"], {"scale": 0.5})],
+        ids=["unknown_tag", "sliceoff_without_agent", "peer_of_other_n_max",
+             "peer_of_other_state_scale"])
+    def test_bad_grid_refused_before_writing(self, tmp_path, policies, peer):
         cfg = build_config(small_doc())
         bundles = {}
-        if peer_n_max is not None:
+        if peer is not None:
             bundles = {"agent_bundle": TestRun.small_agent(cfg, 1),
-                       "peer_bundle": TestRun.small_agent(cfg, 2, n_max=peer_n_max)}
+                       "peer_bundle": TestRun.small_agent(cfg, 2, **peer)}
         out = tmp_path / "cmp"
         with pytest.raises(ConfigError):
             harness.compare(cfg, policies, [0], out, **bundles)
@@ -787,7 +797,7 @@ class TestPipelineBytes:
 
     @pytest.mark.parametrize("flip", [
         ("agent_current", "actor.w0"), ("agent_peer", "actor.w0"),
-        ("forecaster", "norm_mean")])
+        ("forecaster", "norm_mean")], ids=["agent", "peer", "forecaster"])
     def test_flipped_checkpoint_bit_moves_the_bytes(self, trained, tmp_path, flip):
         assert (self.compare_sha256(trained, tmp_path / "b", flip)
                 != self.compare_sha256(trained, tmp_path / "a"))
@@ -997,6 +1007,45 @@ class TestCli:
         result = self.run_sliceoff(tmp_path, path)
         assert result.exit_code == 2, result.output
         assert "'critic2.b0'" in result.output and "non-finite" in result.output
+
+    @pytest.mark.parametrize("divisor", [0.0, -1.0])
+    def test_nonpositive_state_scale_exit_code_2(self, tmp_path, divisor):
+        # A zero divisor made every feature non-finite, and `run` crashed
+        # in the environment with exit 1.
+        path = self.write_agent(tmp_path, build_config(small_doc()))
+        self.rewrite_array(path, "state_scale",
+                           lambda a: np.concatenate([a[:4], [divisor], a[5:]]))
+        result = self.run_sliceoff(tmp_path, path)
+        assert result.exit_code == 2, result.output
+        assert "error:" in result.output and "'state_scale'" in result.output
+        assert "Traceback" not in result.output
+
+    def test_peer_of_other_state_scale_exit_code_2(self, tmp_path):
+        cfg = build_config(small_doc())
+        path = self.write_agent(tmp_path, cfg)
+        peer = tmp_path / "peer.ckpt"
+        agent.save_agent(TestRun.small_agent(cfg, 2, scale=2.0), peer)
+        result = CliRunner().invoke(cli_main, [
+            "compare", "--config", write_config(tmp_path, small_doc()),
+            "--policies", "sliceoff", "--seeds", "0", "--out", str(tmp_path / "cmp"),
+            "--agent-checkpoint", str(path), "--peer-checkpoint", str(peer)])
+        assert result.exit_code == 2, result.output
+        assert "error:" in result.output and "state_scale" in result.output
+        assert not (tmp_path / "cmp").exists()
+
+    @pytest.mark.parametrize("std", [0.0, -1.0])
+    def test_nonpositive_norm_std_exit_code_2(self, tmp_path, std):
+        # A zero norm_std made every forecast non-finite, and `run` crashed
+        # in slicing with exit 1.
+        cfg = build_config(small_doc())
+        path = tmp_path / "forecaster.ckpt"
+        ForecastModel(cfg.forecaster, np.random.default_rng(0)).save(path)
+        self.rewrite_array(path, "norm_std", lambda a: np.full_like(a, std))
+        result = self.run_sliceoff(tmp_path, self.write_agent(tmp_path, cfg),
+                                   "--forecaster-checkpoint", str(path))
+        assert result.exit_code == 2, result.output
+        assert "error:" in result.output and "forecaster.ckpt" in result.output
+        assert "'norm_std'" in result.output and "Traceback" not in result.output
 
     def test_wrong_dtype_forecaster_array_exit_code_2(self, tmp_path):
         cfg = build_config(small_doc())
