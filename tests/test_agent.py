@@ -374,8 +374,8 @@ class TestUpdateActor:
         agent = default_agent()
         agent.step_count = 3
         before = {k: v.copy() for k, v in agent.actor.params.items()}
-        applied = A.update_actor(agent, make_batch(agent, 8, np.random.default_rng(8)),
-                                 actor_lr=1e-3, tau=0.5)
+        batch = make_batch(agent, 8, np.random.default_rng(8))
+        applied = A.update_actor(agent, batch, actor_lr=1e-3, tau=0.5)
         assert applied is False
         assert all(np.array_equal(before[k], agent.actor.params[k]) for k in before)
 
@@ -384,8 +384,8 @@ class TestUpdateActor:
         set_constant_output(agent.critic1.net, 2.0)
         agent.step_count = 0
         before = {k: v.copy() for k, v in agent.actor.params.items()}
-        applied = A.update_actor(agent, make_batch(agent, 8, np.random.default_rng(9)),
-                                 actor_lr=1e-3, tau=0.0)
+        batch = make_batch(agent, 8, np.random.default_rng(9))
+        applied = A.update_actor(agent, batch, actor_lr=1e-3, tau=0.0)
         assert applied is True
         assert all(np.allclose(before[k], agent.actor.params[k]) for k in before)
 
@@ -571,26 +571,26 @@ class TestSharedFeatures:
     def test_value_estimate_bits(self):
         agent = default_agent(np.random.default_rng(40))
         states = make_states(12, np.random.default_rng(41))
-        fresh, feats = agent.actor._state_rows(states), agent.actor._state_rows(states)
-        agent.critic2.forward(feats, np.zeros((12, N_MAX)))
+        fresh, used = (agent.actor._state_rows(states) for _ in range(2))
+        agent.critic2.forward(used, np.zeros((12, N_MAX)))
         assert np.array_equal(A.value_estimate(agent, fresh),
-                              A.value_estimate(agent, feats))
+                              A.value_estimate(agent, used))
 
     def test_td_target_bits(self):
         agent = default_agent(np.random.default_rng(42))
         fresh, used = self.batches(agent, 12, 43)
-        raw = A.td_target(agent, fresh, 0.9, 0.2, 0.5, np.random.default_rng(44))
-        shared = A.td_target(agent, used, 0.9, 0.2, 0.5, np.random.default_rng(44))
-        assert np.array_equal(raw, shared)
+        y_fresh = A.td_target(agent, fresh, 0.9, 0.2, 0.5, np.random.default_rng(44))
+        y_used = A.td_target(agent, used, 0.9, 0.2, 0.5, np.random.default_rng(44))
+        assert np.array_equal(y_fresh, y_used)
 
     def test_update_critics_step_bits(self):
         targets = np.random.default_rng(46).normal(size=12)
         a = default_agent(np.random.default_rng(47))
         b = default_agent(np.random.default_rng(47))
-        batch, used = self.batches(b, 12, 45)
-        losses_raw = A.update_critics(a, batch, targets, lr=1e-3)
-        losses_shared = A.update_critics(b, used, targets, lr=1e-3)
-        assert losses_raw == losses_shared
+        fresh, used = self.batches(b, 12, 45)
+        losses_fresh = A.update_critics(a, fresh, targets, lr=1e-3)
+        losses_used = A.update_critics(b, used, targets, lr=1e-3)
+        assert losses_fresh == losses_used
         for name in ("critic1", "critic2"):
             pa, pb = getattr(a, name).params, getattr(b, name).params
             assert all(np.array_equal(pa[k], pb[k]) for k in pa)
@@ -612,10 +612,10 @@ class TestSharedFeatures:
         peer = default_agent(np.random.default_rng(49))
         a = default_agent(np.random.default_rng(50))
         b = default_agent(np.random.default_rng(50))
-        batch, used = self.batches(b, 12, 48)
-        loss_raw = A.distill(a, peer, batch, lr=1e-2)
-        loss_shared = A.distill(b, peer, used, lr=1e-2)
-        assert loss_raw == loss_shared
+        fresh, used = self.batches(b, 12, 48)
+        loss_fresh = A.distill(a, peer, fresh, lr=1e-2)
+        loss_used = A.distill(b, peer, used, lr=1e-2)
+        assert loss_fresh == loss_used
         assert all(np.array_equal(a.actor.params[k], b.actor.params[k])
                    for k in a.actor.params)
 
